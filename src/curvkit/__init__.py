@@ -10,11 +10,11 @@ from .catalog import BUILTIN_IDS, MetricSpec, builtin, load_metric
 from .classify import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL,
                        CoefficientFit, SamplePlan, StructureReport,
                        build_sample_plan, classify_metric, compare_metrics,
-                       fit_relation, verify_component_tables)
+                       verify_component_tables)
 from .curvature import CurvatureBundle, build_bundle
 from .exprcore import (Binding, DomainError, EvalError, Expr, ParseError,
                        differentiate, equal_probabilistic, evaluate,
-                       parse_expr, simplify)
+                       parse_expr)
 from .tensor import ComponentTensor, MetricData, dot_action, invert_metric, \
     kulkarni_nomizu, tachibana
 

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import exprcore as ec
-from . import tensor as tn
 from .exprcore import Expr, ParseError
 from .tensor import ComponentTensor
 
@@ -50,15 +49,7 @@ class MetricSpec:
         return self.ranges.get(name, ec.default_range(name))
 
     def g(self) -> ComponentTensor:
-        return ComponentTensor(self.components, 2, self.dim,
-                               tn.SYMMETRY_SYMMETRIC)
-
-    def binding(self, coord_values, param_values=None):
-        values = dict(zip(self.coords, coord_values))
-        values.update(self.defaults)
-        if param_values:
-            values.update(param_values)
-        return values
+        return ComponentTensor(self.components, 2, self.dim)
 
 
 def _components_from(dim, coords, params, entries) -> np.ndarray:

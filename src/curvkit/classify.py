@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from . import curvature as cv
 from . import exprcore as ec
 from . import tensor as tn
 from .catalog import MetricSpec
@@ -159,22 +160,35 @@ class StructureReport:
 # ---------------------------------------------------------------------------
 # numeric evaluation of the bundle at one point
 
+BUNDLE_TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T",
+                  "nabla_R", "nabla_C", "nabla_S")
+
+
 class PointData:
-    """All bundle tensors evaluated at one sample point, with cached
+    """Curvature tensors at one sample point as float arrays, with cached
     products."""
 
     def __init__(self, bundle: CurvatureBundle, values: Dict[str, float]):
-        self.values = values
         memo: dict = {}
-        n = bundle.metric.dim
-        self.n = n
-        self.arrays: Dict[str, np.ndarray] = {}
-        for name in ("g", "R", "S", "S2", "C", "P", "W", "K", "T",
-                     "nabla_R", "nabla_C", "nabla_S"):
-            self.arrays[name] = bundle.tensor(name).evaluate(values, memo).data
-        self.kappa = ec.eval_float(bundle.kappa, values, memo)
-        self.ginv = np.linalg.inv(self.arrays["g"])
-        self.J = self.ginv @ self.arrays["S"]
+        arrays = {name: bundle.tensor(name).evaluate(values, memo).data
+                  for name in BUNDLE_TENSORS}
+        self._fill(values, arrays, ec.eval_float(bundle.kappa, values, memo))
+
+    @classmethod
+    def from_arrays(cls, values: Dict[str, float],
+                    arrays: Dict[str, np.ndarray], kappa: float) -> "PointData":
+        """Point data over tensors computed without a bundle."""
+        point = cls.__new__(cls)
+        point._fill(values, arrays, kappa)
+        return point
+
+    def _fill(self, values, arrays, kappa):
+        self.values = values
+        self.arrays = arrays
+        self.kappa = kappa
+        self.n = arrays["g"].shape[0]
+        self.ginv = np.linalg.inv(arrays["g"])
+        self.J = self.ginv @ arrays["S"]
         self._cache: Dict[tuple, np.ndarray] = {}
 
     def arr(self, name: str) -> np.ndarray:
@@ -285,32 +299,6 @@ def direct_test(relation: str, points: List[PointData],
         rows.append((None, None, True) if degenerate else ([], resid, False))
     fit = _assemble(relation, rows, tol)
     return fit
-
-
-def fit_relation(targets: Sequence[ComponentTensor],
-                 basis: Sequence[ComponentTensor],
-                 plan: SamplePlan, tol: float = DEFAULT_TOL,
-                 relation: str = "relation") -> CoefficientFit:
-    """Generic entry point: fit sum(targets) = sum_i c_i basis_i pointwise.
-
-    targets and basis are symbolic tensors of equal valence."""
-    if not basis:
-        raise ClassifyError("empty basis")
-    valences = {t.valence for t in list(targets) + list(basis)}
-    if len(valences) != 1:
-        raise ClassifyError("all tensors must share one valence")
-    shape = (basis[0].dim,) * basis[0].valence
-    rows = []
-    for pt in plan.points:
-        values = dict(pt)
-        values.update(plan.params)
-        memo: dict = {}
-        tgt = np.zeros(shape)
-        for t in targets:
-            tgt += t.evaluate(values, memo).data
-        cols = [b.evaluate(values, memo).data for b in basis]
-        rows.append(_lstsq_point(tgt, cols))
-    return _assemble(relation, rows, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -826,10 +814,11 @@ def compare_metrics(rep_a: StructureReport, rep_b: StructureReport) -> Dict:
 # published component-table verification
 
 def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
-                  lam: float = 0.0, h: float = 2e-4) -> Dict[str, np.ndarray]:
+                  lam: float = 0.0, h: float = 2e-4) -> PointData:
     """Numeric curvature at one point using central finite differences of
     the metric components only; independent of the symbolic derivative
-    path."""
+    path.  The derived tensors follow from R, S and kappa by the engine's
+    own derived_curvatures formulas."""
     n = spec.dim
     coords = spec.coords
 
@@ -869,20 +858,20 @@ def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
                - np.einsum("hkl,lij->hijk", gam, gam))
         return np.einsum("hl,lijk->hijk", g, rup)
 
-    g = gmat(values)
-    ginv = np.linalg.inv(g)
+    def curvature_at(vals):
+        g = gmat(vals)
+        ginv = np.linalg.inv(g)
+        R = rlow_at(vals)
+        S = np.einsum("hk,hijk->ij", ginv, R)
+        kappa = float(np.einsum("ij,ij->", ginv, S))
+        derived = cv.derived_curvatures(
+            ComponentTensor(R, 4, n), ComponentTensor(S, 2, n), kappa,
+            ComponentTensor(g, 2, n), lam)
+        arrays = {"g": g, "R": R, "S": S}
+        arrays.update(zip("CPWKT", (t.data for t in derived)))
+        return arrays, kappa
+
     gam = gamma_at(values)
-    R = rlow_at(values)
-    S = np.einsum("hk,hijk->ij", ginv, R)
-    kappa = float(np.einsum("ij,ij->", ginv, S))
-    gT = ComponentTensor(g, 2, n)
-    ST = ComponentTensor(S, 2, n)
-    gg = tn.kulkarni_nomizu(gT, gT).data
-    gS = tn.kulkarni_nomizu(gT, ST).data
-    K = R - gS / (n - 2)
-    C = K + kappa / (2 * (n - 1) * (n - 2)) * gg
-    W = R - kappa / (2 * n * (n - 1)) * gg
-    T = S + (lam - kappa / 2) * g
 
     def covariant(func):
         base = func(values)
@@ -897,23 +886,10 @@ def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
             out -= corr
         return out
 
-    nabla_R = covariant(rlow_at)
-
-    def c_at(vals):
-        gl = gmat(vals)
-        gil = np.linalg.inv(gl)
-        Rl = rlow_at(vals)
-        Sl = np.einsum("hk,hijk->ij", gil, Rl)
-        kl = float(np.einsum("ij,ij->", gil, Sl))
-        ggl = tn.kulkarni_nomizu(ComponentTensor(gl, 2, n),
-                                 ComponentTensor(gl, 2, n)).data
-        gSl = tn.kulkarni_nomizu(ComponentTensor(gl, 2, n),
-                                 ComponentTensor(Sl, 2, n)).data
-        return Rl - gSl / (n - 2) + kl / (2 * (n - 1) * (n - 2)) * ggl
-
-    nabla_C = covariant(c_at)
-    return {"g": g, "ginv": ginv, "R": R, "S": S, "kappa": kappa, "C": C,
-            "W": W, "K": K, "T": T, "nabla_R": nabla_R, "nabla_C": nabla_C}
+    arrays, kappa = curvature_at(values)
+    arrays["nabla_R"] = covariant(rlow_at)
+    arrays["nabla_C"] = covariant(lambda vals: curvature_at(vals)[0]["C"])
+    return PointData.from_arrays(values, arrays, kappa)
 
 
 def _check_value(kind, indices, point: PointData):
@@ -932,38 +908,24 @@ def _check_value(kind, indices, point: PointData):
     raise ClassifyError(f"unknown check kind '{kind}'")
 
 
-def _fd_value(kind, indices, fdb: Dict[str, np.ndarray], n: int):
-    idx = tuple(i - 1 for i in indices)
-    if kind == "kappa":
-        return fdb["kappa"]
-    op, *names = kind.split(":")
-    if op == "tensor":
-        return float(fdb[names[0]][idx])
-    def ct(nm):
-        a = fdb[nm]
-        return ComponentTensor(a, a.ndim, n)
-    if op == "wedge":
-        return float(tn.kulkarni_nomizu(ct(names[0]), ct(names[1])).data[idx])
-    if op == "dot":
-        return float(tn.dot_action(ct(names[0]), ct(names[1]),
-                                   fdb["ginv"]).data[idx])
-    if op == "tach":
-        return float(tn.tachibana(ct(names[0]), ct(names[1])).data[idx])
-    raise ClassifyError(f"unknown check kind '{kind}'")
-
-
 def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
                             checks: List[Dict], lam: float = 0.0,
                             count: int = 8, seed: int = DEFAULT_SEED,
                             rel_tol: float = 1e-10) -> Dict:
     """Compare published component values against the engine at random
     points; re-verify every mismatching engine value with the
-    finite-difference oracle."""
+    finite-difference oracle.
+
+    The oracle recomputes only the factor tensors (R, S, kappa and what
+    follows from them, nabla_R, nabla_C) from finite differences of the
+    metric.  A wedge:, dot: or tach: entry is then formed with the engine's
+    own product code, so its confirmation cannot catch an error in a
+    product's convention."""
     plan = build_sample_plan(spec, None, count, seed)
     points = evaluate_plan(bundle, spec, plan)
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
     results = []
-    fd_cache: Dict[int, Dict] = {}
+    fd_cache: Dict[int, PointData] = {}
     for chk in checks:
         expr = ec.parse_expr(chk["expr"], allowed)
         status = "match"
@@ -996,8 +958,7 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
                 if pi not in fd_cache:
                     fd_cache[pi] = _fd_curvature(spec, p.values, lam)
                 eng = _check_value(chk["kind"], chk["indices"], p)
-                fdv = _fd_value(chk["kind"], chk["indices"], fd_cache[pi],
-                                spec.dim)
+                fdv = _check_value(chk["kind"], chk["indices"], fd_cache[pi])
                 rel = abs(eng - fdv) / (1.0 + abs(eng) + abs(fdv))
                 worst = max(worst, rel)
                 if rel > 5e-5:

@@ -73,7 +73,7 @@ def _cmd_components(args) -> int:
     name = args.tensor
     if name == "kappa":
         payload = {"metric": spec.id, "tensor": "kappa",
-                   "expression": ec.to_string(ec.simplify(bundle.kappa))}
+                   "expression": ec.to_string(bundle.kappa)}
     else:
         try:
             t = bundle.tensor(name)

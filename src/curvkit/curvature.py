@@ -11,9 +11,9 @@ reproduces the component tables used by the regression suite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -67,11 +67,12 @@ def riemann(gamma: np.ndarray, metric: MetricData,
         for l in range(n):
             acc = acc + g[h, l] * rup[l, i, j, k]
         low[h, i, j, k] = acc
-    return ComponentTensor(low, 4, n, tn.SYMMETRY_RIEMANN)
+    return ComponentTensor(low, 4, n)
 
 
 def ricci_family(R: ComponentTensor, metric: MetricData):
-    """Ricci tensor S, scalar curvature, Ricci operator J, and S^2."""
+    """Ricci tensor S, scalar curvature, and S^2 = S J with the Ricci
+    operator J."""
     n = metric.dim
     ginv = metric.g_inv
     S = np.empty((n, n), dtype=object)
@@ -98,38 +99,33 @@ def ricci_family(R: ComponentTensor, metric: MetricData):
         for k in range(n):
             acc = acc + S[i, k] * J[k, j]
         S2[i, j] = acc
-    return (ComponentTensor(S, 2, n, tn.SYMMETRY_SYMMETRIC), kappa, J,
-            ComponentTensor(S2, 2, n, tn.SYMMETRY_SYMMETRIC))
+    return ComponentTensor(S, 2, n), kappa, ComponentTensor(S2, 2, n)
 
 
-def derived_curvatures(R: ComponentTensor, S: ComponentTensor, kappa: Expr,
-                       metric: MetricData):
-    """Conformal C, projective P, concircular W, conharmonic K."""
-    n = metric.dim
+def derived_curvatures(R: ComponentTensor, S: ComponentTensor, kappa,
+                       g: ComponentTensor, lam=0):
+    """Conformal C, projective P, concircular W, conharmonic K, and the
+    energy-momentum tensor T = S - (kappa/2) g + Lambda g (geometric units
+    with the coupling constant set to 1).
+
+    Symbolic (kappa and lam Expr or rational) and evaluated (floats)
+    tensors go through the same array formulas."""
+    n = g.dim
     if n < 3:
         raise tn.TensorError("derived curvatures need dimension >= 3")
-    g = metric.g
-    gg = tn.kulkarni_nomizu(g, g)
-    gS = tn.kulkarni_nomizu(g, S)
-    c_gg = ec.div(kappa, 2 * (n - 1) * (n - 2))
-    c_gS = ec.const(Fraction(-1, n - 2))
-    C = np.empty((n,) * 4, dtype=object)
-    K = np.empty((n,) * 4, dtype=object)
-    W = np.empty((n,) * 4, dtype=object)
-    P = np.empty((n,) * 4, dtype=object)
-    c_w = ec.div(ec.neg(kappa), 2 * n * (n - 1))
-    third = ec.const(Fraction(1, n - 1))
-    for idx in itertools.product(range(n), repeat=4):
-        h, i, j, k = idx
-        K[idx] = R.data[idx] + c_gS * gS.data[idx]
-        C[idx] = K[idx] + c_gg * gg.data[idx]
-        W[idx] = R.data[idx] + c_w * gg.data[idx]
-        P[idx] = R.data[idx] + third * (S.data[h, j] * g.data[i, k]
-                                        - S.data[i, j] * g.data[h, k])
-    return (ComponentTensor(C, 4, n, tn.SYMMETRY_RIEMANN),
-            ComponentTensor(P, 4, n),
-            ComponentTensor(W, 4, n, tn.SYMMETRY_RIEMANN),
-            ComponentTensor(K, 4, n, tn.SYMMETRY_RIEMANN))
+    gg = tn.kulkarni_nomizu(g, g).data
+    gS = tn.kulkarni_nomizu(g, S).data
+    r, s, m = R.data, S.data, g.data
+    K = r + gS / (2 - n)             # R - (g^S)/(n-2)
+    C = K + gg * (kappa / (2 * (n - 1) * (n - 2)))
+    W = r + gg * (-kappa / (2 * n * (n - 1)))
+    # P_hijk = R_hijk + (S_hj g_ik - S_ij g_hk) / (n - 1)
+    P = r + (s[:, None, :, None] * m[None, :, None, :]
+             - s[None, :, :, None] * m[:, None, None, :]) / (n - 1)
+    T = s + m * (lam - kappa / 2)
+    return (ComponentTensor(C, 4, n), ComponentTensor(P, 4, n),
+            ComponentTensor(W, 4, n), ComponentTensor(K, 4, n),
+            ComponentTensor(T, 2, n))
 
 
 def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
@@ -154,19 +150,6 @@ def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
     return ComponentTensor(out, k + 1, n)
 
 
-def stress_energy(S: ComponentTensor, kappa: Expr, g: ComponentTensor,
-                  lam) -> ComponentTensor:
-    """Energy-momentum tensor T = S - (kappa/2) g + Lambda g (geometric
-    units with the coupling constant set to 1)."""
-    n = g.dim
-    lam = lam if isinstance(lam, Expr) else ec.const(Fraction(lam))
-    coef = lam - ec.div(kappa, 2)
-    out = np.empty((n, n), dtype=object)
-    for i, j in itertools.product(range(n), repeat=2):
-        out[i, j] = S.data[i, j] + coef * g.data[i, j]
-    return ComponentTensor(out, 2, n, tn.SYMMETRY_SYMMETRIC)
-
-
 @dataclass
 class CurvatureBundle:
     """Everything the classifier consumes, fully symbolic."""
@@ -177,7 +160,6 @@ class CurvatureBundle:
     R: ComponentTensor
     S: ComponentTensor
     kappa: Expr
-    J: np.ndarray
     S2: ComponentTensor
     C: ComponentTensor
     P: ComponentTensor
@@ -188,34 +170,31 @@ class CurvatureBundle:
     nabla_S: ComponentTensor
     T: ComponentTensor
     lam: object = 0
-    _by_name: Dict[str, ComponentTensor] = field(default_factory=dict)
 
     def tensor(self, name: str) -> ComponentTensor:
-        if not self._by_name:
-            n = self.metric.dim
-            self._by_name = {
-                "g": self.metric.g, "R": self.R, "S": self.S, "S2": self.S2,
-                "C": self.C, "P": self.P, "W": self.W, "K": self.K,
-                "T": self.T, "nabla_R": self.nabla_R,
-                "nabla_C": self.nabla_C, "nabla_S": self.nabla_S,
-            }
-        if name not in self._by_name:
+        by_name = {
+            "g": self.metric.g, "R": self.R, "S": self.S, "S2": self.S2,
+            "C": self.C, "P": self.P, "W": self.W, "K": self.K,
+            "T": self.T, "nabla_R": self.nabla_R,
+            "nabla_C": self.nabla_C, "nabla_S": self.nabla_S,
+        }
+        if name not in by_name:
             raise KeyError(f"unknown tensor '{name}' (choose from "
-                           f"{sorted(self._by_name)})")
-        return self._by_name[name]
+                           f"{sorted(by_name)})")
+        return by_name[name]
 
 
 def build_bundle(metric: MetricData, coords: Sequence[str],
                  lam=0) -> CurvatureBundle:
     gamma = christoffel(metric, coords)
     R = riemann(gamma, metric, coords)
-    S, kappa, J, S2 = ricci_family(R, metric)
-    C, P, W, K = derived_curvatures(R, S, kappa, metric)
+    S, kappa, S2 = ricci_family(R, metric)
+    lam_e = lam if isinstance(lam, Expr) else ec.const(Fraction(lam))
+    C, P, W, K, T = derived_curvatures(R, S, kappa, metric.g, lam_e)
     nabla_R = covariant_derivative(R, gamma, coords)
     nabla_C = covariant_derivative(C, gamma, coords)
     nabla_S = covariant_derivative(S, gamma, coords)
-    T = stress_energy(S, kappa, metric.g, lam)
     return CurvatureBundle(metric=metric, coords=list(coords), gamma=gamma,
-                           R=R, S=S, kappa=kappa, J=J, S2=S2, C=C, P=P, W=W,
+                           R=R, S=S, kappa=kappa, S2=S2, C=C, P=P, W=W,
                            K=K, nabla_R=nabla_R, nabla_C=nabla_C,
                            nabla_S=nabla_S, T=T, lam=lam)

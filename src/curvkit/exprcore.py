@@ -375,22 +375,6 @@ ZERO = const(0)
 ONE = const(1)
 
 
-def simplify(f: Expr) -> Expr:
-    """Recursively re-canonicalize.  Construction already canonicalizes, so
-    this is idempotent and cheap; it exists to normalize trees assembled by
-    hand or deserialized."""
-    if f.kind in ("const", "sym"):
-        return _intern(f)
-    if f.kind == "call":
-        return call(f.fname, simplify(f.children[0]))
-    if f.kind == "pow":
-        return powr(simplify(f.children[0]), f.exponent)
-    parts = [simplify(c) for c in f.children]
-    if f.kind == "mul":
-        return mul(*parts)
-    return add(*parts)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 

@@ -3,15 +3,15 @@ constructions (Kulkarni-Nomizu wedge; curvature action D.eta and the
 Tachibana tensor Q(lambda, eta)).
 
 Tensors are stored dense as numpy arrays: dtype=object holding Expr in
-symbolic mode, float64 in evaluated mode.  The products share one generic
-loop implementation in symbolic mode and a vectorized einsum path in
-evaluated mode; both paths are cross-checked against brute-force index-loop
-oracles in the test suite.
+symbolic mode, float64 in evaluated mode.  Each product has one
+implementation, written as array arithmetic (broadcasting and einsum) that
+numpy carries out with Expr operators on object arrays and in floating
+point on float arrays; the test suite checks it against brute-force
+index-loop oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,22 +20,17 @@ import numpy as np
 from . import exprcore as ec
 from .exprcore import Expr
 
-SYMMETRY_NONE = "none"
-SYMMETRY_SYMMETRIC = "symmetric"
-SYMMETRY_RIEMANN = "riemann"
-
 
 class TensorError(Exception):
     pass
 
 
 class ComponentTensor:
-    """Dense (0,k) tensor over dimension n with a declared symmetry class."""
+    """Dense (0,k) tensor over dimension n."""
 
-    __slots__ = ("data", "valence", "dim", "symmetry")
+    __slots__ = ("data", "valence", "dim")
 
-    def __init__(self, data, valence: int, dim: int,
-                 symmetry: str = SYMMETRY_NONE, verify: bool = False):
+    def __init__(self, data, valence: int, dim: int):
         arr = np.asarray(data)
         if arr.shape != (dim,) * valence:
             raise TensorError(
@@ -44,22 +39,10 @@ class ComponentTensor:
         self.data = arr
         self.valence = valence
         self.dim = dim
-        self.symmetry = symmetry
-        if verify:
-            self.check_symmetry()
 
     @property
     def symbolic(self) -> bool:
         return self.data.dtype == object
-
-    def entry(self, idx):
-        return self.data[tuple(idx)]
-
-    @classmethod
-    def zeros_symbolic(cls, valence, dim, symmetry=SYMMETRY_NONE):
-        arr = np.empty((dim,) * valence, dtype=object)
-        arr[...] = ec.ZERO
-        return cls(arr, valence, dim, symmetry)
 
     def evaluate(self, values, memo: Optional[dict] = None) -> "ComponentTensor":
         """Evaluated-mode copy at a point; the memo may be shared across
@@ -73,32 +56,7 @@ class ComponentTensor:
         flat_out = out.reshape(-1)
         for i in range(flat_in.size):
             flat_out[i] = ec.eval_float(flat_in[i], values, memo)
-        return ComponentTensor(out, self.valence, self.dim, self.symmetry)
-
-    def check_symmetry(self, tol: float = 0.0):
-        n = self.dim
-        if self.symmetry == SYMMETRY_SYMMETRIC:
-            self._check_equal(self.data, np.swapaxes(self.data, 0, 1), 1, tol)
-        elif self.symmetry == SYMMETRY_RIEMANN:
-            d = self.data
-            self._check_equal(d, np.transpose(d, (1, 0, 2, 3)), -1, tol)
-            self._check_equal(d, np.transpose(d, (0, 1, 3, 2)), -1, tol)
-            self._check_equal(d, np.transpose(d, (2, 3, 0, 1)), 1, tol)
-
-    def _check_equal(self, a, b, sign, tol):
-        if self.symbolic:
-            for idx in itertools.product(range(self.dim), repeat=self.valence):
-                lhs = a[idx]
-                rhs = b[idx] if sign == 1 else ec.neg(b[idx])
-                if lhs is not rhs:
-                    raise TensorError(
-                        f"declared symmetry violated at index {idx}")
-        else:
-            dev = np.abs(a - sign * b).max()
-            scale = 1.0 + np.abs(a).max()
-            if dev > max(tol, 1e-10) * scale:
-                raise TensorError(
-                    f"declared symmetry violated (deviation {dev:.3e})")
+        return ComponentTensor(out, self.valence, self.dim)
 
 
 @dataclass(frozen=True)
@@ -168,10 +126,8 @@ def _probably_nonzero(e: Expr, seed: int) -> bool:
 
 
 def _require_same_mode(*tensors):
-    modes = {t.symbolic for t in tensors}
-    if len(modes) != 1:
+    if len({t.symbolic for t in tensors}) != 1:
         raise TensorError("cannot mix symbolic and evaluated tensors")
-    return modes.pop()
 
 
 def kulkarni_nomizu(tau: ComponentTensor, lam: ComponentTensor) -> ComponentTensor:
@@ -180,17 +136,17 @@ def kulkarni_nomizu(tau: ComponentTensor, lam: ComponentTensor) -> ComponentTens
     if tau.valence != 2 or lam.valence != 2 or tau.dim != lam.dim:
         raise TensorError("wedge product needs two (0,2) tensors of equal "
                           "dimension")
-    n = tau.dim
-    a, b = tau.data, lam.data
-    if _require_same_mode(tau, lam):
-        out = np.empty((n,) * 4, dtype=object)
-        for i, j, x, y in itertools.product(range(n), repeat=4):
-            out[i, j, x, y] = (a[i, y] * b[j, x] - a[i, x] * b[j, y]
-                               + a[j, x] * b[i, y] - a[j, y] * b[i, x])
-    else:
-        out = (np.einsum("iy,jx->ijxy", a, b) - np.einsum("ix,jy->ijxy", a, b)
-               + np.einsum("jx,iy->ijxy", a, b) - np.einsum("jy,ix->ijxy", a, b))
-    return ComponentTensor(out, 4, n, SYMMETRY_RIEMANN)
+    _require_same_mode(tau, lam)
+
+    def slots(m):
+        # m[z1,X], m[z1,Y], m[z2,X], m[z2,Y] broadcast over (z1, z2, X, Y)
+        return (m[:, None, :, None], m[:, None, None, :],
+                m[None, :, :, None], m[None, :, None, :])
+
+    a1x, a1y, a2x, a2y = slots(tau.data)
+    b1x, b1y, b2x, b2y = slots(lam.data)
+    out = a1y * b2x - a1x * b2y + a2x * b1y - a2y * b1x
+    return ComponentTensor(out, 4, tau.dim)
 
 
 def dot_action(D: ComponentTensor, eta: ComponentTensor,
@@ -206,36 +162,15 @@ def dot_action(D: ComponentTensor, eta: ComponentTensor,
         raise TensorError("D must be a (0,4) tensor of matching dimension")
     n = D.dim
     l = eta.valence
-    if _require_same_mode(D, eta):
-        # contract the last slot of D with g^{uv} once
-        Dg = np.empty((n,) * 4, dtype=object)
-        for a, b, c, u in itertools.product(range(n), repeat=4):
-            acc = ec.ZERO
-            for v in range(n):
-                acc = acc + D.data[a, b, c, v] * g_inv[u, v]
-            Dg[a, b, c, u] = acc
-        out = np.empty((n,) * (l + 2), dtype=object)
-        for idx in itertools.product(range(n), repeat=l + 2):
-            body, al, be = idx[:l], idx[l], idx[l + 1]
-            acc = ec.ZERO
-            for s in range(l):
-                for u in range(n):
-                    jdx = list(body)
-                    jdx[s] = u
-                    acc = acc + Dg[al, be, body[s], u] * eta.data[tuple(jdx)]
-            out[idx] = ec.neg(acc)
-    else:
-        ginv_f = g_inv if g_inv.dtype != object else None
-        if ginv_f is None:
-            raise TensorError("evaluated dot_action needs a numeric inverse "
-                              "metric")
-        Dg = np.einsum("abcv,uv->abcu", D.data, ginv_f)
-        out = np.zeros(eta.data.shape + (n, n))
-        for s in range(l):
-            eta_m = np.moveaxis(eta.data, s, 0)
-            term = np.einsum("abcu,u...->...cab", Dg, eta_m)
-            out -= np.moveaxis(term, l - 1, s)
-    return ComponentTensor(out, l + 2, n, SYMMETRY_NONE)
+    _require_same_mode(D, eta, ComponentTensor(g_inv, 2, n))
+    # contract the last slot of D with g^{uv} once
+    Dg = np.einsum("abcv,uv->abcu", D.data, g_inv)
+    out = np.zeros(eta.data.shape + (n, n), dtype=eta.data.dtype)
+    for s in range(l):
+        eta_m = np.moveaxis(eta.data, s, 0)
+        term = np.einsum("abcu,u...->...cab", Dg, eta_m)
+        out -= np.moveaxis(term, l - 1, s)
+    return ComponentTensor(out, l + 2, n)
 
 
 def tachibana(lam: ComponentTensor, eta: ComponentTensor) -> ComponentTensor:
@@ -251,24 +186,11 @@ def tachibana(lam: ComponentTensor, eta: ComponentTensor) -> ComponentTensor:
         raise TensorError("eta must have valence >= 1")
     n = lam.dim
     l = eta.valence
-    if _require_same_mode(lam, eta):
-        out = np.empty((n,) * (l + 2), dtype=object)
-        for idx in itertools.product(range(n), repeat=l + 2):
-            body, al, be = idx[:l], idx[l], idx[l + 1]
-            acc = ec.ZERO
-            for s in range(l):
-                jdx = list(body)
-                jdx[s] = be
-                kdx = list(body)
-                kdx[s] = al
-                acc = (acc + lam.data[body[s], al] * eta.data[tuple(jdx)]
-                       - lam.data[body[s], be] * eta.data[tuple(kdx)])
-            out[idx] = acc
-    else:
-        out = np.zeros(eta.data.shape + (n, n))
-        for s in range(l):
-            eta_m = np.moveaxis(eta.data, s, 0)
-            t1 = np.einsum("ca,b...->...cab", lam.data, eta_m)
-            t2 = np.einsum("cb,a...->...cab", lam.data, eta_m)
-            out += np.moveaxis(t1 - t2, l - 1, s)
-    return ComponentTensor(out, l + 2, n, SYMMETRY_NONE)
+    _require_same_mode(lam, eta)
+    out = np.zeros(eta.data.shape + (n, n), dtype=eta.data.dtype)
+    for s in range(l):
+        eta_m = np.moveaxis(eta.data, s, 0)
+        t1 = np.einsum("ca,b...->...cab", lam.data, eta_m)
+        t2 = np.einsum("cb,a...->...cab", lam.data, eta_m)
+        out += np.moveaxis(t1 - t2, l - 1, s)
+    return ComponentTensor(out, l + 2, n)

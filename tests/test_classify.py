@@ -7,9 +7,9 @@ import pytest
 from curvkit.catalog import builtin, parse_metric_source
 from curvkit.classify import (ClassifyError, StructureReport,
                               build_sample_plan, classify_metric,
-                              compare_metrics, fit_relation)
+                              compare_metrics)
 from curvkit.curvature import build_bundle
-from curvkit.tensor import invert_metric, kulkarni_nomizu
+from curvkit.tensor import invert_metric
 
 METRIC_REGULARITY_FLOOR = 1e-3
 
@@ -187,29 +187,6 @@ def test_constant_rescaling_preserves_verdicts(bardeen_classified):
     report = classify_metric(spec, bundle, params={"M": 1.0, "e": 0.5})
     for name, fit in base.structures.items():
         assert report.verdict(name) == fit.verdict, name
-
-
-# ---------------------------------------------------------------------------
-# generic fitting API
-
-def test_fit_relation_generic_entry_point(bardeen_classified):
-    spec, bundle, _ = bardeen_classified
-    plan = build_sample_plan(spec)
-    g, S = bundle.metric.g, bundle.S
-    basis = [kulkarni_nomizu(g, g), kulkarni_nomizu(g, S),
-             kulkarni_nomizu(S, S)]
-    fit = fit_relation([bundle.R], basis, plan)
-    assert fit.verdict == "holds"
-    assert fit.residual <= 1e-9
-    short = fit_relation([bundle.R], basis[:1], plan)
-    assert short.verdict == "fails"
-
-
-def test_fit_relation_rejects_shape_mismatch(bardeen_classified):
-    spec, bundle, _ = bardeen_classified
-    plan = build_sample_plan(spec)
-    with pytest.raises(ClassifyError):
-        fit_relation([bundle.R], [bundle.S], plan)
 
 
 # ---------------------------------------------------------------------------

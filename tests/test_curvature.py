@@ -7,7 +7,8 @@ import pytest
 
 import curvkit.exprcore as ec
 from curvkit.catalog import builtin
-from curvkit.curvature import build_bundle, covariant_derivative, stress_energy
+from curvkit.curvature import (build_bundle, covariant_derivative,
+                               derived_curvatures)
 from curvkit.tensor import invert_metric
 from oracles import bardeen_lapse
 
@@ -166,7 +167,8 @@ def test_contracted_second_bianchi(bardeen):
 def test_stress_energy_definition(bardeen):
     spec, bundle = bardeen
     lam = ec.parse_expr("3/10", set())
-    T = stress_energy(bundle.S, bundle.kappa, bundle.metric.g, lam)
+    T = derived_curvatures(bundle.R, bundle.S, bundle.kappa,
+                           bundle.metric.g, lam)[4]
     for values in sample_points(spec, 2, seed=10):
         got = eval_obj(T.data, values)
         S = eval_obj(bundle.S.data, values)

@@ -1,0 +1,47 @@
+"""The committed reports under reports/ reproduce exactly from the engine.
+
+Each result is compared after a JSON round trip, so every verdict, fitted
+coefficient, residual and discrepancy string must be equal to the last
+digit.  scripts/reproduce_reports.py regenerates the files."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from curvkit.catalog import reference_component_checks
+from curvkit.classify import compare_metrics, verify_component_tables
+
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
+
+
+def committed(name):
+    return json.loads((REPORTS / name).read_text())
+
+
+def round_trip(obj):
+    return json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("metric_id, fixture", [
+    ("bardeen", "bardeen_classified"),
+    ("reissner_nordstrom", "rn_classified"),
+    ("schwarzschild", "schw_classified"),
+    ("minkowski", "mink_classified"),
+])
+def test_classify_reports_reproduce(metric_id, fixture, request):
+    _, _, report = request.getfixturevalue(fixture)
+    assert round_trip(report.to_json()) == committed(
+        f"classify_{metric_id}.json")
+
+
+def test_compare_report_reproduces(bardeen_classified, rn_classified):
+    comp = compare_metrics(bardeen_classified[2], rn_classified[2])
+    assert round_trip(comp) == committed("compare_bardeen_rn.json")
+
+
+def test_verify_report_reproduces(bardeen_classified):
+    spec, bundle, _ = bardeen_classified
+    res = verify_component_tables(spec, bundle, reference_component_checks(),
+                                  lam=0.0)
+    assert round_trip(res) == committed("verify_bardeen.json")
