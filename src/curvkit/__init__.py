@@ -12,7 +12,7 @@ from .classify import (DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL,
                        build_sample_plan, classify_metric, compare_metrics,
                        verify_component_tables)
 from .curvature import CurvatureBundle, build_bundle
-from .exprcore import (Binding, DomainError, EvalError, Expr, ParseError,
+from .exprcore import (DomainError, EvalError, Expr, ParseError,
                        differentiate, equal_probabilistic, evaluate,
                        parse_expr)
 from .tensor import ComponentTensor, MetricData, dot_action, invert_metric, \

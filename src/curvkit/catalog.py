@@ -208,11 +208,8 @@ def _probe_invertibility(spec: MetricSpec, probes: int = 4, seed: int = 11):
     for _ in range(probes * 8):
         values = {nm: rng.uniform(*spec.coordinate_range(nm)) for nm in names}
         values.update(spec.defaults)
-        memo: dict = {}
         try:
-            m = np.array([[ec.eval_float(spec.components[i, j], values, memo)
-                           for j in range(spec.dim)]
-                          for i in range(spec.dim)])
+            m = spec.g().evaluate(values).data
         except ec.EvalError:
             continue
         if abs(np.linalg.det(m)) > 1e-12:

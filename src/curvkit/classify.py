@@ -77,11 +77,8 @@ def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = Non
         pt = {c: rng.uniform(*spec.coordinate_range(c)) for c in spec.coords}
         values = dict(pt)
         values.update(bound)
-        memo: dict = {}
         try:
-            g = np.array([[ec.eval_float(spec.components[i, j], values, memo)
-                           for j in range(spec.dim)]
-                          for i in range(spec.dim)])
+            g = spec.g().evaluate(values).data
         except ec.EvalError:
             continue
         if not np.all(np.isfinite(g)):
@@ -220,7 +217,7 @@ class PointData:
         return self._cache[key]
 
 
-def evaluate_plan(bundle: CurvatureBundle, spec: MetricSpec,
+def evaluate_plan(bundle: CurvatureBundle,
                   plan: SamplePlan) -> List[PointData]:
     out = []
     for pt in plan.points:
@@ -379,10 +376,6 @@ def _compat_cyc(Jop: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # classification groups
-
-_DOT_NAMES = {"R": "riemann", "C": "weyl", "W": "concircular",
-              "K": "conharmonic", "P": "projective", "S": "ricci"}
-
 
 def classify_pseudosymmetries(points: List[PointData], tol: float,
                               report: StructureReport):
@@ -752,7 +745,7 @@ def classify_metric(spec: MetricSpec, bundle: CurvatureBundle,
                     seed: int = DEFAULT_SEED,
                     reference_forms: Optional[Dict] = None) -> StructureReport:
     plan = build_sample_plan(spec, params, count, seed)
-    points = evaluate_plan(bundle, spec, plan)
+    points = evaluate_plan(bundle, plan)
     report = StructureReport(metric_id=spec.id, plan=plan, tol=tol)
     classify_pseudosymmetries(points, tol, report)
     classify_einstein(points, tol, report)
@@ -823,9 +816,7 @@ def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
     coords = spec.coords
 
     def gmat(vals):
-        memo: dict = {}
-        return np.array([[ec.eval_float(spec.components[i, j], vals, memo)
-                          for j in range(n)] for i in range(n)])
+        return spec.g().evaluate(vals).data
 
     def shifted(vals, k, dh):
         out = dict(vals)
@@ -922,7 +913,7 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
     own product code, so its confirmation cannot catch an error in a
     product's convention."""
     plan = build_sample_plan(spec, None, count, seed)
-    points = evaluate_plan(bundle, spec, plan)
+    points = evaluate_plan(bundle, plan)
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
     results = []
     fd_cache: Dict[int, PointData] = {}

@@ -6,11 +6,14 @@ Sign conventions: R^h_ijk = d_j Gamma^h_ik - d_k Gamma^h_ij + Gamma Gamma
 terms, lowered on the first slot, and S_ij = g^{hk} R_{hijk}.  With these
 choices a static spherically symmetric metric with signature (-,+,+,+)
 reproduces the component tables used by the regression suite.
+
+Each layer is an array formula (einsum, @, transposes) over `partials`, the
+one caller of `differentiate`.  Sums are canonical in any order or grouping;
+products are not, so each formula keeps the grouping of its index sum.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
@@ -23,51 +26,31 @@ from .exprcore import Expr
 from .tensor import ComponentTensor, MetricData
 
 
+def partials(a: np.ndarray, coords: Sequence[str]) -> np.ndarray:
+    """out[..., k] = d_k a[...]: every entry differentiated by every
+    coordinate, with the derivative index appended last."""
+    diff = np.frompyfunc(ec.differentiate, 2, 1)
+    return diff(a[..., None], np.array(coords, dtype=object))
+
+
 def christoffel(metric: MetricData, coords: Sequence[str]) -> np.ndarray:
     """Second-kind Christoffel symbols Gamma^h_ij, symmetric in (i, j)."""
-    n = metric.dim
-    g = metric.g.data
-    ginv = metric.g_inv
-    dg = np.empty((n, n, n), dtype=object)  # dg[i,j,k] = d_k g_ij
-    for i, j in itertools.product(range(n), repeat=2):
-        for k in range(n):
-            dg[i, j, k] = ec.differentiate(g[i, j], coords[k])
-    gamma = np.empty((n, n, n), dtype=object)
-    half = ec.const(Fraction(1, 2))
-    for h in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = ec.ZERO
-                for k in range(n):
-                    acc = acc + ginv[h, k] * (dg[j, k, i] + dg[i, k, j]
-                                              - dg[i, j, k])
-                gamma[h, i, j] = half * acc
-                gamma[h, j, i] = gamma[h, i, j]
-    return gamma
+    dg = partials(metric.g.data, coords)  # dg[i,j,k] = d_k g_ij
+    # A_ijk = d_i g_jk + d_j g_ik - d_k g_ij; g^-1 multiplies the whole
+    # bracket and 1/2 the contraction, the grouping that fixes each node
+    A = dg.transpose(2, 0, 1) + dg.transpose(0, 2, 1) - dg
+    return np.einsum("hk,ijk->hij", metric.g_inv, A) * Fraction(1, 2)
 
 
 def riemann(gamma: np.ndarray, metric: MetricData,
             coords: Sequence[str]) -> ComponentTensor:
     """Lowered Riemann tensor R_{hijk} with full Riemann symmetries."""
-    n = metric.dim
-    rup = np.empty((n, n, n, n), dtype=object)
-    dgamma = np.empty((n, n, n, n), dtype=object)  # d_k Gamma^h_ij
-    for h, i, j, k in itertools.product(range(n), repeat=4):
-        dgamma[h, i, j, k] = ec.differentiate(gamma[h, i, j], coords[k])
-    for h, i, j, k in itertools.product(range(n), repeat=4):
-        acc = dgamma[h, i, k, j] - dgamma[h, i, j, k]
-        for l in range(n):
-            acc = acc + gamma[h, j, l] * gamma[l, i, k] \
-                      - gamma[h, k, l] * gamma[l, i, j]
-        rup[h, i, j, k] = acc
-    g = metric.g.data
-    low = np.empty((n, n, n, n), dtype=object)
-    for h, i, j, k in itertools.product(range(n), repeat=4):
-        acc = ec.ZERO
-        for l in range(n):
-            acc = acc + g[h, l] * rup[l, i, j, k]
-        low[h, i, j, k] = acc
-    return ComponentTensor(low, 4, n)
+    dgamma = partials(gamma, coords)  # d_k Gamma^h_ij
+    rup = (dgamma.swapaxes(2, 3) - dgamma
+           + np.einsum("hjl,lik->hijk", gamma, gamma)
+           - np.einsum("hkl,lij->hijk", gamma, gamma))
+    low = np.einsum("hl,lijk->hijk", metric.g.data, rup)
+    return ComponentTensor(low, 4, metric.dim)
 
 
 def ricci_family(R: ComponentTensor, metric: MetricData):
@@ -75,30 +58,9 @@ def ricci_family(R: ComponentTensor, metric: MetricData):
     operator J."""
     n = metric.dim
     ginv = metric.g_inv
-    S = np.empty((n, n), dtype=object)
-    for i, j in itertools.product(range(n), repeat=2):
-        acc = ec.ZERO
-        for h, k in itertools.product(range(n), repeat=2):
-            if ginv[h, k].is_zero():
-                continue
-            acc = acc + ginv[h, k] * R.data[h, i, j, k]
-        S[i, j] = acc
-    kappa = ec.ZERO
-    for i, j in itertools.product(range(n), repeat=2):
-        if not ginv[i, j].is_zero():
-            kappa = kappa + ginv[i, j] * S[i, j]
-    J = np.empty((n, n), dtype=object)  # J^i_j
-    for i, j in itertools.product(range(n), repeat=2):
-        acc = ec.ZERO
-        for k in range(n):
-            acc = acc + ginv[i, k] * S[k, j]
-        J[i, j] = acc
-    S2 = np.empty((n, n), dtype=object)
-    for i, j in itertools.product(range(n), repeat=2):
-        acc = ec.ZERO
-        for k in range(n):
-            acc = acc + S[i, k] * J[k, j]
-        S2[i, j] = acc
+    S = np.einsum("hk,hijk->ij", ginv, R.data)
+    kappa = np.einsum("ij,ij->", ginv, S)
+    S2 = S @ (ginv @ S)  # J^i_j = g^ik S_kj
     return ComponentTensor(S, 2, n), kappa, ComponentTensor(S2, 2, n)
 
 
@@ -132,22 +94,18 @@ def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
                          coords: Sequence[str]) -> ComponentTensor:
     """(0,k+1) tensor with the derivative index appended last:
     out[a..., f] = d_f T_{a...} - sum over slots of Gamma contraction."""
-    n = T.dim
     k = T.valence
-    out = np.empty((n,) * (k + 1), dtype=object)
-    for idx in itertools.product(range(n), repeat=k):
-        for f in range(n):
-            acc = ec.differentiate(T.data[idx], coords[f])
-            for s in range(k):
-                for u in range(n):
-                    gterm = gamma[u, f, idx[s]]
-                    if gterm.is_zero():
-                        continue
-                    jdx = list(idx)
-                    jdx[s] = u
-                    acc = acc - gterm * T.data[tuple(jdx)]
-            out[idx + (f,)] = acc
-    return ComponentTensor(out, k + 1, n)
+    out = partials(T.data, coords)
+    # Gamma^u_fc T_{..u..} is subtracted from every out[..c.., f], one
+    # slot at a time; zero Gamma entries are skipped, as most are zero
+    for (u, f, c), gterm in np.ndenumerate(gamma):
+        if gterm.is_zero():
+            continue
+        for s in range(k):
+            pre = (slice(None),) * s
+            post = (slice(None),) * (k - 1 - s)
+            out[pre + (c,) + post + (f,)] -= T.data[pre + (u,) + post] * gterm
+    return ComponentTensor(out, k + 1, T.dim)
 
 
 @dataclass
@@ -169,7 +127,6 @@ class CurvatureBundle:
     nabla_C: ComponentTensor
     nabla_S: ComponentTensor
     T: ComponentTensor
-    lam: object = 0
 
     def tensor(self, name: str) -> ComponentTensor:
         by_name = {
@@ -197,4 +154,4 @@ def build_bundle(metric: MetricData, coords: Sequence[str],
     return CurvatureBundle(metric=metric, coords=list(coords), gamma=gamma,
                            R=R, S=S, kappa=kappa, S2=S2, C=C, P=P, W=W,
                            K=K, nabla_R=nabla_R, nabla_C=nabla_C,
-                           nabla_S=nabla_S, T=T, lam=lam)
+                           nabla_S=nabla_S, T=T)

@@ -116,9 +116,6 @@ class Expr:
     def is_zero(self) -> bool:
         return self.kind == "const" and self.value == 0
 
-    def is_one(self) -> bool:
-        return self.kind == "const" and self.value == 1
-
     # arithmetic sugar so tensor code reads naturally
     def __add__(self, other):
         return add(self, _coerce(other))
@@ -229,8 +226,12 @@ def powr(base: Expr, exp) -> Expr:
         if folded is not None:
             return const(folded)
     if base.kind == "pow":
-        # valid for the positive quantities this kernel targets
-        return powr(base.children[0], base.exponent * exp)
+        inner, a = base.children[0], base.exponent
+        if a.denominator == 1 and a.numerator % 2 == 0 \
+                and exp.denominator != 1:
+            # x^a >= 0 for even a, so (x^a)^b = |x|^(ab) on every range
+            return powr(call("abs", inner), a * exp)
+        return powr(inner, a * exp)
     if base.kind == "mul" and exp.denominator == 1:
         return mul(*[powr(c, exp) for c in base.children])
     return _intern(Expr("pow", exponent=exp, children=(base,)))
@@ -429,30 +430,12 @@ def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-class Binding:
-    """Immutable map of symbol names to numeric values used for evaluation."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Mapping[str, object]):
-        self.values = dict(values)
-
-    def __getitem__(self, name):
-        return self.values[name]
-
-    def __contains__(self, name):
-        return name in self.values
-
-    def items(self):
-        return self.values.items()
-
-
 EVAL_PRECISION_BITS = 100  # well above the 80-bit contract
 
 
 def evaluate(f: Expr, binding) -> mpmath.mpf:
     """High-precision numeric value of f under a binding of all free symbols."""
-    values = binding.values if isinstance(binding, Binding) else dict(binding)
+    values = dict(binding)
     with mpmath.workprec(EVAL_PRECISION_BITS):
         memo: Dict[Expr, mpmath.mpf] = {}
         return _eval_mp(f, values, memo)
@@ -586,7 +569,7 @@ def sample_binding(names: Iterable[str], rng: random.Random,
     for name in sorted(names):
         lo, hi = (ranges or {}).get(name, default_range(name))
         values[name] = rng.uniform(lo, hi)
-    return Binding(values)
+    return values
 
 
 def equal_probabilistic(f: Expr, g: Expr, trials: int = 8, seed: int = 0,

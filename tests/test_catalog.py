@@ -117,6 +117,16 @@ def test_singular_metric_rejected():
     assert "singular" in str(exc.value)
 
 
+def test_root_of_square_keeps_sign_on_negative_range():
+    # (x^2)^(1/2) is |x|: on x in [-2, -1] the metric keeps signature
+    # (-,+,+,+) instead of flipping g11 to x < 0
+    spec = parse_metric_source(
+        "dim 4\ncoords t x y z\nrange x -2 -1\n"
+        "g[0][0] = -1\ng[1][1] = (x^2)^(1/2)\ng[2][2] = 1\ng[3][3] = 1\n")
+    g = spec.g().evaluate({"t": 0.0, "x": -1.5, "y": 0.0, "z": 0.0}).data
+    assert g[1, 1] == 1.5
+
+
 def test_charge_zero_builtin_matches_vacuum_builtin():
     bar = builtin("bardeen")
     sch = builtin("schwarzschild")

@@ -69,8 +69,26 @@ def test_like_term_collection():
 
 
 def test_power_of_power_collapses():
-    assert p("(x^2)^(3/2)") is p("x^3")
+    assert p("(x^2)^(3/2)") is p("abs(x)^3")
     assert p("sqrt(x)^2") is p("x")
+    assert p("(x^2)^3") is p("x^6")
+
+
+@pytest.mark.parametrize("text, value, slope", [
+    ("(x^2)^(1/2)", 2.0, -1.0),
+    ("sqrt(x^2)", 2.0, -1.0),
+    ("(x^2)^(3/2)", 8.0, -12.0),
+    ("(x^(-2))^(1/2)", 0.5, 0.25),
+])
+def test_power_of_even_power_sound_for_negative_base(text, value, slope):
+    # (x^a)^b folds to |x|^(ab) for even a and fractional b, not to x^(ab)
+    e = p(text)
+    at = {"x": -2.0}
+    assert float(ec.evaluate(e, at)) == pytest.approx(value, rel=1e-15)
+    assert ec.eval_float(e, at, {}) == pytest.approx(value, rel=1e-15)
+    d = ec.differentiate(e, "x")
+    assert float(ec.evaluate(d, at)) == pytest.approx(slope, rel=1e-15)
+    assert ec.parse_expr(ec.to_string(e), SYMS) is e
 
 
 def test_neg_distributes_over_sum():
@@ -220,3 +238,29 @@ def test_property_derivative_linearity(ta, tb):
     left = ec.differentiate(a + b, "x")
     right = ec.differentiate(a, "x") + ec.differentiate(b, "x")
     assert ec.equal_probabilistic(left, right)
+
+
+def _grouped(terms, rnd):
+    """Sum of terms as a random binary tree of two-term additions."""
+    if len(terms) == 1:
+        return terms[0]
+    cut = rnd.randint(1, len(terms) - 1)
+    return _grouped(terms[:cut], rnd) + _grouped(terms[cut:], rnd)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(expr_text(), min_size=1, max_size=6),
+       st.randoms(use_true_random=False))
+def test_property_add_ignores_order_and_grouping(texts, rnd):
+    # the array formulas of the curvature layers sum in numpy's order,
+    # not the index loops' order; both must give the same node
+    terms = [ec.parse_expr(t, {"x", "y"}) for t in texts]
+    want = ec.add(*terms)
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    acc = ec.ZERO
+    for t in shuffled:
+        acc = acc + t
+    assert acc is want
+    rnd.shuffle(shuffled)
+    assert _grouped(shuffled, rnd) is want
