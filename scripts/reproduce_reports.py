@@ -7,8 +7,13 @@ charged black holes.  Reports land in reports/ as JSON.
 reports/components_sha256.json holds the sha256 of the bytes that
 `curvkit components --metric M --tensor X` prints for every builtin and
 every tensor of the bundle, so that `git status reports/` after a run shows
-whether a change moved any symbolic component."""
+whether a change moved any symbolic component.
 
+With --check nothing is written: every report is regenerated in memory and
+compared with the committed file byte for byte; the exit status is 1 and
+the differing files are named if any differs."""
+
+import argparse
 import contextlib
 import hashlib
 import io
@@ -23,6 +28,20 @@ OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 BUILTINS = ("bardeen", "reissner_nordstrom", "schwarzschild", "minkowski")
 TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T", "nabla_R",
            "nabla_C", "nabla_S", "kappa")
+JOBS = tuple((f"classify_{mid}.json", ["classify", "--metric", mid])
+             for mid in BUILTINS) + (
+    ("verify_bardeen.json", ["verify", "--metric", "bardeen"]),
+    ("compare_bardeen_rn.json",
+     ["compare", "--metric", "bardeen", "--metric", "reissner_nordstrom"]),
+)
+
+
+def run_cli(argv):
+    """Exit code and stdout of one in-process `curvkit` run."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.run(argv)
+    return rc, buf.getvalue()
 
 
 def component_digests():
@@ -31,37 +50,55 @@ def component_digests():
     out = {}
     for mid in BUILTINS:
         for name in TENSORS:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                rc = cli.run(["components", "--metric", mid,
-                              "--tensor", name])
+            rc, text = run_cli(["components", "--metric", mid,
+                                "--tensor", name])
             if rc != 0:
                 raise SystemExit(f"components {mid} {name}: exit {rc}")
-            digest = hashlib.sha256(buf.getvalue().encode("utf-8"))
+            digest = hashlib.sha256(text.encode("utf-8"))
             out.setdefault(mid, {})[name] = digest.hexdigest()
     return out
 
 
-def main():
-    os.makedirs(OUT, exist_ok=True)
-    jobs = []
-    for mid in BUILTINS:
-        jobs.append((f"classify_{mid}.json",
-                     ["classify", "--metric", mid]))
-    jobs.append(("verify_bardeen.json", ["verify", "--metric", "bardeen"]))
-    jobs.append(("compare_bardeen_rn.json",
-                 ["compare", "--metric", "bardeen",
-                  "--metric", "reissner_nordstrom"]))
+def reports():
+    """(file name, exit code, text) of every report.  The CLI ends stdout
+    with a newline that the JSON text, as `--out` writes it, lacks."""
+    for fname, argv in JOBS:
+        rc, text = run_cli(argv)
+        yield fname, rc, text[:-1]
+    digests = json.dumps(component_digests(), indent=2) + "\n"
+    yield "components_sha256.json", 0, digests
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare with reports/ instead of writing it")
+    args = ap.parse_args(argv)
+    if not args.check:
+        os.makedirs(OUT, exist_ok=True)
     status = 0
-    for fname, argv in jobs:
+    differ = []
+    for fname, rc, text in reports():
         path = os.path.join(OUT, fname)
-        rc = cli.run(argv + ["--out", path])
-        print(f"{fname}: {'ok' if rc == 0 else f'exit {rc}'}")
-        status = status or rc
-    with open(os.path.join(OUT, "components_sha256.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(component_digests(), indent=2) + "\n")
-    print("components_sha256.json: ok")
+        if rc != 0:
+            print(f"{fname}: exit {rc}")
+            status = 1
+        elif args.check:
+            try:
+                with open(path, "rb") as fh:
+                    same = fh.read() == text.encode("utf-8")
+            except FileNotFoundError:
+                same = False
+            print(f"{fname}: {'same' if same else 'DIFFERS'}")
+            if not same:
+                differ.append(fname)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            print(f"{fname}: ok")
+    if differ:
+        print("differ from reports/: " + ", ".join(differ))
+        status = 1
     return status
 
 

@@ -150,6 +150,11 @@ class Expr:
 
 
 _INTERN: Dict[tuple, Expr] = {}
+# the same interned nodes, reached without rebuilding: constants by value,
+# and derivatives per variable name (the derivative of an interned node is
+# a fixed interned node, so every differentiate call shares one memo)
+_CONSTS: Dict[object, Expr] = {}
+_DIFF_MEMO: Dict[str, Dict[Expr, Expr]] = {}
 
 
 def _intern(node: Expr) -> Expr:
@@ -171,11 +176,16 @@ def _coerce(v) -> Expr:
 
 ZERO: "Expr"
 ONE: "Expr"
+_FRAC_ZERO = Fraction(0)
+_FRAC_ONE = Fraction(1)
 
 
 def const(v) -> Expr:
     """Exact rational constant."""
-    return _intern(Expr("const", value=Fraction(v)))
+    got = _CONSTS.get(v)
+    if got is None:
+        got = _CONSTS[v] = _intern(Expr("const", value=Fraction(v)))
+    return got
 
 
 def sym(name: str) -> Expr:
@@ -255,6 +265,8 @@ def call(fname: str, arg) -> Expr:
             return ZERO
         if fname == "cos" and v == 0:
             return ONE
+    if fname == "abs" and arg.kind == "call" and arg.fname == "abs":
+        return arg
     return _intern(Expr("call", fname=fname, children=(arg,)))
 
 
@@ -268,29 +280,33 @@ def _split_coeff(term: Expr) -> Tuple[Fraction, Optional[Expr]]:
         if len(rest) == 1:
             return coeff, rest[0]
         return coeff, _intern(Expr("mul", children=rest))
-    return Fraction(1), term
+    return _FRAC_ONE, term
 
 
 def add(*terms) -> Expr:
+    # zero terms change nothing, and a canonical node is its own sum, so a
+    # lone nonzero term is returned as it is instead of being rebuilt
+    terms = [t for t in map(_coerce, terms) if t is not ZERO]
+    if len(terms) <= 1:
+        return terms[0] if terms else ZERO
     flat = []
     for t in terms:
-        t = _coerce(t)
         if t.kind == "add":
             flat.extend(t.children)
         else:
             flat.append(t)
-    const_acc = Fraction(0)
+    const_acc = _FRAC_ZERO
     monoms: Dict[Expr, Fraction] = {}
     order: list = []
     for t in flat:
         coeff, monom = _split_coeff(t)
         if monom is None:
             const_acc += coeff
-            continue
-        if monom not in monoms:
-            monoms[monom] = Fraction(0)
+        elif monom in monoms:
+            monoms[monom] += coeff
+        else:
+            monoms[monom] = coeff
             order.append(monom)
-        monoms[monom] += coeff
     out = []
     for monom in order:
         coeff = monoms[monom]
@@ -311,14 +327,20 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    # a zero factor zeroes the product and factors of one change nothing;
+    # a canonical node is its own product, so a lone factor is returned
+    factors = [f for f in map(_coerce, factors) if f is not ONE]
+    if ZERO in factors:
+        return ZERO
+    if len(factors) <= 1:
+        return factors[0] if factors else ONE
     flat = []
     for f in factors:
-        f = _coerce(f)
         if f.kind == "mul":
             flat.extend(f.children)
         else:
             flat.append(f)
-    coeff = Fraction(1)
+    coeff = _FRAC_ONE
     exps: Dict[Expr, Fraction] = {}
     order: list = []
     for f in flat:
@@ -328,13 +350,12 @@ def mul(*factors) -> Expr:
         if f.kind == "pow":
             base, e = f.children[0], f.exponent
         else:
-            base, e = f, Fraction(1)
-        if base not in exps:
-            exps[base] = Fraction(0)
+            base, e = f, _FRAC_ONE
+        if base in exps:
+            exps[base] += e
+        else:
+            exps[base] = e
             order.append(base)
-        exps[base] += e
-    if coeff == 0:
-        return ZERO
     out = []
     for base in order:
         e = exps[base]
@@ -382,7 +403,9 @@ ONE = const(1)
 def differentiate(f: Expr, var) -> Expr:
     """Exact partial derivative with respect to a symbol."""
     name = var.name if isinstance(var, Expr) else var
-    memo: Dict[Expr, Expr] = {}
+    memo = _DIFF_MEMO.get(name)
+    if memo is None:
+        memo = _DIFF_MEMO[name] = {}
     return _diff(f, name, memo)
 
 

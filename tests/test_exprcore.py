@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -89,6 +90,17 @@ def test_power_of_even_power_sound_for_negative_base(text, value, slope):
     d = ec.differentiate(e, "x")
     assert float(ec.evaluate(d, at)) == pytest.approx(slope, rel=1e-15)
     assert ec.parse_expr(ec.to_string(e), SYMS) is e
+
+
+@pytest.mark.parametrize("text", [
+    "(abs(x)^2)^(1/2)", "sqrt(abs(x)^2)", "abs(abs(x))",
+])
+def test_abs_of_abs_is_abs(text):
+    e = p(text)
+    assert e is p("abs(x)")
+    at = {"x": -2.0}
+    assert float(ec.evaluate(e, at)) == 2.0
+    assert float(ec.evaluate(ec.differentiate(e, "x"), at)) == -1.0
 
 
 def test_neg_distributes_over_sum():
@@ -264,3 +276,52 @@ def test_property_add_ignores_order_and_grouping(texts, rnd):
     assert acc is want
     rnd.shuffle(shuffled)
     assert _grouped(shuffled, rnd) is want
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_text())
+def test_property_zero_and_one_are_identities(text):
+    # canonical nodes are fixed points of add and mul, which lets both
+    # return a lone operand unchanged
+    e = ec.parse_expr(text, {"x", "y"})
+    assert ec.add(e) is e
+    assert ec.add(e, ec.ZERO) is e
+    assert ec.add(ec.ZERO, e, ec.ZERO) is e
+    assert ec.mul(e) is e
+    assert ec.mul(e, ec.ONE) is e
+    assert ec.mul(ec.ONE, e, ec.ONE) is e
+    assert ec.mul(e, ec.ZERO) is ec.ZERO
+    assert ec.mul(ec.ZERO, e) is ec.ZERO
+
+
+def test_const_is_keyed_by_value():
+    assert ec.const(2) is ec.const(Fraction(4, 2))
+    assert ec.const(Fraction(1, 2)) is ec.const(0.5)
+    assert ec.const(0) is ec.ZERO
+    assert ec.const(Fraction(3, 3)) is ec.ONE
+
+
+def _post_order(e, seen=None):
+    seen = set() if seen is None else seen
+    for c in e.children:
+        if c not in seen:
+            yield from _post_order(c, seen)
+    if e not in seen:
+        seen.add(e)
+        yield e
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_text(), st.sampled_from(["x", "y"]))
+def test_property_shared_derivative_memo(text, name):
+    # the derivative memo outlives each call; what it holds must not
+    # change the node that differentiate returns
+    e = ec.parse_expr(text, {"x", "y"})
+    ec._DIFF_MEMO.clear()
+    fresh = ec.differentiate(e, name)
+    ec._DIFF_MEMO.clear()
+    for sub in _post_order(e):
+        if sub is not e:
+            ec.differentiate(sub, name)
+    assert ec.differentiate(e, name) is fresh
+    assert ec.differentiate(e, name) is fresh

@@ -4,11 +4,15 @@ Each result is compared after a JSON round trip, so every verdict, fitted
 coefficient, residual and discrepancy string must be equal to the last
 digit.  scripts/reproduce_reports.py regenerates the files."""
 
+import contextlib
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from curvkit import cli
 from curvkit.catalog import reference_component_checks
 from curvkit.classify import compare_metrics, verify_component_tables
 
@@ -45,3 +49,16 @@ def test_verify_report_reproduces(bardeen_classified):
     res = verify_component_tables(spec, bundle, reference_component_checks(),
                                   lam=0.0)
     assert round_trip(res) == committed("verify_bardeen.json")
+
+
+@pytest.mark.parametrize("metric_id", ["schwarzschild", "bardeen"])
+@pytest.mark.parametrize("tensor", ["S", "kappa", "nabla_R"])
+def test_components_dump_matches_digest(metric_id, tensor):
+    # node identity: a kernel change that moves any symbolic node moves the
+    # printed components; reproduce_reports.py checks all 52 dumps
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(["components", "--metric", metric_id,
+                        "--tensor", tensor]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == committed("components_sha256.json")[metric_id][tensor]
