@@ -21,13 +21,12 @@ import json
 import os
 import sys
 
-from curvkit import cli
+from curvkit import cli, curvature
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "reports")
 BUILTINS = ("bardeen", "reissner_nordstrom", "schwarzschild", "minkowski")
-TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T", "nabla_R",
-           "nabla_C", "nabla_S", "kappa")
+TENSORS = curvature.TENSORS + ("kappa",)
 JOBS = tuple((f"classify_{mid}.json", ["classify", "--metric", mid])
              for mid in BUILTINS) + (
     ("verify_bardeen.json", ["verify", "--metric", "bardeen"]),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +53,10 @@ class SamplePlan:
     def __len__(self):
         return len(self.points)
 
+    def values(self) -> List[Dict[str, float]]:
+        """Each point's coordinates together with the parameter binding."""
+        return [dict(pt, **self.params) for pt in self.points]
+
 
 def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = None,
                       count: int = DEFAULT_POINTS,
@@ -67,6 +71,11 @@ def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = Non
         if unknown:
             raise ClassifyError(f"unknown parameters {sorted(unknown)}")
         bound.update(params)
+    unbound = set().union(*(e.free_symbols() for e in spec.components.flat))
+    unbound -= set(spec.coords) | set(bound)
+    if unbound:
+        raise ClassifyError(f"no value for the metric's parameters "
+                            f"{sorted(unbound)}")
     rng = random.Random(seed)
     points = []
     attempts = 0
@@ -155,76 +164,72 @@ class StructureReport:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation of the bundle at one point
+# numeric evaluation of the bundle at every sample point
 
-BUNDLE_TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T",
-                  "nabla_R", "nabla_C", "nabla_S")
+@dataclass
+class PointBatch:
+    """Curvature at a batch of points as float arrays whose leading axis is
+    the point: arrays maps a tensor name to its (P, n, ..., n) stack."""
 
-
-class PointData:
-    """Curvature tensors at one sample point as float arrays, with cached
-    products."""
-
-    def __init__(self, bundle: CurvatureBundle, values: Dict[str, float]):
-        memo: dict = {}
-        arrays = {name: bundle.tensor(name).evaluate(values, memo).data
-                  for name in BUNDLE_TENSORS}
-        self._fill(values, arrays, ec.eval_float(bundle.kappa, values, memo))
+    arrays: Dict[str, np.ndarray]
+    kappa: np.ndarray                 # (P,)
+    ginv: np.ndarray                  # (P, n, n)
+    J: np.ndarray                     # (P, n, n) Ricci operator g^-1 S
 
     @classmethod
-    def from_arrays(cls, values: Dict[str, float],
-                    arrays: Dict[str, np.ndarray], kappa: float) -> "PointData":
-        """Point data over tensors computed without a bundle."""
-        point = cls.__new__(cls)
-        point._fill(values, arrays, kappa)
-        return point
+    def stack(cls, per_point: List[Dict[str, np.ndarray]],
+              kappa: List[float]) -> "PointBatch":
+        arrays = {name: np.stack([p[name] for p in per_point])
+                  for name in per_point[0]}
+        ginv = np.linalg.inv(arrays["g"])
+        return cls(arrays, np.array(kappa), ginv, ginv @ arrays["S"])
 
-    def _fill(self, values, arrays, kappa):
-        self.values = values
-        self.arrays = arrays
-        self.kappa = kappa
-        self.n = arrays["g"].shape[0]
-        self.ginv = np.linalg.inv(arrays["g"])
-        self.J = self.ginv @ arrays["S"]
-        self._cache: Dict[tuple, np.ndarray] = {}
+    @property
+    def n(self) -> int:
+        return self.arrays["g"].shape[-1]
 
-    def arr(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def _tensor(self, name: str) -> ComponentTensor:
+    def tensor(self, name: str) -> ComponentTensor:
         a = self.arrays[name]
-        return ComponentTensor(a, a.ndim, self.n)
-
-    def wedge(self, a: str, b: str) -> np.ndarray:
-        key = ("wedge", a, b)
-        if key not in self._cache:
-            self._cache[key] = tn.kulkarni_nomizu(
-                self._tensor(a), self._tensor(b)).data
-        return self._cache[key]
-
-    def dot(self, D: str, eta: str) -> np.ndarray:
-        key = ("dot", D, eta)
-        if key not in self._cache:
-            self._cache[key] = tn.dot_action(
-                self._tensor(D), self._tensor(eta), self.ginv).data
-        return self._cache[key]
-
-    def tach(self, lam: str, eta: str) -> np.ndarray:
-        key = ("tach", lam, eta)
-        if key not in self._cache:
-            self._cache[key] = tn.tachibana(
-                self._tensor(lam), self._tensor(eta)).data
-        return self._cache[key]
+        return ComponentTensor(a, a.ndim - 1, self.n)
 
 
-def evaluate_plan(bundle: CurvatureBundle,
-                  plan: SamplePlan) -> List[PointData]:
-    out = []
-    for pt in plan.points:
-        values = dict(pt)
-        values.update(plan.params)
-        out.append(PointData(bundle, values))
-    return out
+def evaluate_plan(bundle: CurvatureBundle, plan: SamplePlan) -> PointBatch:
+    per_point, kappa = [], []
+    for values in plan.values():
+        memo: dict = {}
+        per_point.append({name: bundle.tensor(name).evaluate(values, memo).data
+                          for name in cv.TENSORS})
+        kappa.append(ec.eval_float(bundle.kappa, values, memo))
+    return PointBatch.stack(per_point, kappa)
+
+
+# the products over a batch, computed afresh by each caller; a classify
+# group keeps the ones it uses more than once as locals
+
+def _wedge(batch: PointBatch, a: str, b: str) -> np.ndarray:
+    return tn.kulkarni_nomizu(batch.tensor(a), batch.tensor(b)).data
+
+
+def _dot(batch: PointBatch, D: str, eta: str) -> np.ndarray:
+    return tn.dot_action(batch.tensor(D), batch.tensor(eta), batch.ginv).data
+
+
+def _tach(batch: PointBatch, lam: str, eta: str) -> np.ndarray:
+    return tn.tachibana(batch.tensor(lam), batch.tensor(eta)).data
+
+
+_PRODUCTS = {"wedge": _wedge, "dot": _dot, "tach": _tach}
+
+
+def _amax(a: np.ndarray) -> np.ndarray:
+    """Largest absolute entry at each point."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
+
+
+def _permute(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """np.transpose of the last len(axes) axes; leading point axes stay."""
+    lead = a.ndim - len(axes)
+    return np.transpose(a, (*range(lead), *(lead + k for k in axes)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,34 +277,31 @@ def _assemble(relation: str, per_point, tol: float) -> CoefficientFit:
     return fit
 
 
-def fit_scalar_relation(relation: str, points: List[PointData],
-                        target_of: Callable[[PointData], np.ndarray],
-                        columns_of: Callable[[PointData], List[np.ndarray]],
+def fit_scalar_relation(relation: str, target: np.ndarray,
+                        columns: Sequence[np.ndarray],
                         tol: float) -> CoefficientFit:
-    rows = []
-    for p in points:
-        rows.append(_lstsq_point(target_of(p), columns_of(p)))
+    """target ~ sum_k c_k columns[k] with scalar c_k fitted at each point;
+    the arrays' leading axis is the point."""
+    rows = [_lstsq_point(target[i], [c[i] for c in columns])
+            for i in range(len(target))]
     return _assemble(relation, rows, tol)
 
 
-def direct_test(relation: str, points: List[PointData],
-                deviation_of: Callable[[PointData], np.ndarray],
-                scale_of: Callable[[PointData], float],
+def direct_test(relation: str, deviation: np.ndarray, scale: np.ndarray,
                 tol: float) -> CoefficientFit:
-    """Equality test: deviation must vanish relative to a natural scale."""
+    """Equality test: deviation must vanish relative to a natural scale,
+    one entry of scale per point."""
     rows = []
-    for p in points:
-        dev = np.abs(deviation_of(p)).max()
-        scale = scale_of(p)
-        resid = dev / (1.0 + scale)
-        degenerate = scale <= tol and dev <= tol
-        rows.append((None, None, True) if degenerate else ([], resid, False))
-    fit = _assemble(relation, rows, tol)
-    return fit
+    for dev, sc in zip(_amax(deviation), scale):
+        degenerate = sc <= tol and dev <= tol
+        rows.append((None, None, True) if degenerate
+                    else ([], dev / (1.0 + sc), False))
+    return _assemble(relation, rows, tol)
 
 
 # ---------------------------------------------------------------------------
-# column builders for 1-form unknowns (unknown A enters as n columns)
+# column builders for 1-form unknowns (unknown A enters as n columns); the
+# tensors may carry leading point axes
 
 def _outer_cols(D: np.ndarray, n: int) -> List[np.ndarray]:
     """Columns for nabla(target) = A (x) D with the derivative slot last."""
@@ -337,17 +339,17 @@ def _weak_symmetry_cols(R: np.ndarray, n: int) -> List[np.ndarray]:
     patterns = []
     for pos in range(5):
         for u in range(n):
-            c = np.zeros((n,) * 5)
+            c = np.zeros(R.shape + (n,))
             if pos == 0:
-                c[:, :, :, :, u] = R
+                c[..., u] = R
             elif pos == 1:
-                c[u, :, :, :, :] = np.transpose(R, (1, 2, 3, 0))
+                c[..., u, :, :, :, :] = _permute(R, (1, 2, 3, 0))
             elif pos == 2:
-                c[:, u, :, :, :] = np.transpose(R, (0, 2, 3, 1))
+                c[..., :, u, :, :, :] = _permute(R, (0, 2, 3, 1))
             elif pos == 3:
-                c[:, :, u, :, :] = np.transpose(R, (0, 1, 3, 2))
+                c[..., :, :, u, :, :] = _permute(R, (0, 1, 3, 2))
             else:
-                c[:, :, :, u, :] = R
+                c[..., :, :, :, u, :] = R
             patterns.append(c)
     return patterns
 
@@ -357,95 +359,83 @@ def _chaki_cols(R: np.ndarray, n: int) -> List[np.ndarray]:
     derivative weight."""
     cols = []
     for u in range(n):
-        c = np.zeros((n,) * 5)
-        c[:, :, :, :, u] += R
-        c[u, :, :, :, :] += 2 * np.transpose(R, (1, 2, 3, 0))
-        c[:, u, :, :, :] += 2 * np.transpose(R, (0, 2, 3, 1))
-        c[:, :, u, :, :] += 2 * np.transpose(R, (0, 1, 3, 2))
-        c[:, :, :, u, :] += 2 * R
+        c = np.zeros(R.shape + (n,))
+        c[..., u] += R
+        c[..., u, :, :, :, :] += 2 * _permute(R, (1, 2, 3, 0))
+        c[..., :, u, :, :, :] += 2 * _permute(R, (0, 2, 3, 1))
+        c[..., :, :, u, :, :] += 2 * _permute(R, (0, 1, 3, 2))
+        c[..., :, :, :, u, :] += 2 * R
         cols.append(c)
     return cols
-
-
-def _compat_cyc(Jop: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Cyclic sum over (a,b,c) of sum_u J^u_a D[u,x,b,c]."""
-    X1 = np.einsum("ua,uxbc->axbc", Jop, D)
-    return (X1 + np.transpose(X1, (2, 1, 3, 0))
-            + np.transpose(X1, (3, 1, 0, 2)))
 
 
 # ---------------------------------------------------------------------------
 # classification groups
 
-def classify_pseudosymmetries(points: List[PointData], tol: float,
+def classify_pseudosymmetries(batch: PointBatch, tol: float,
                               report: StructureReport):
-    def add_fit(name, target_of, cols_of):
-        report.add(fit_scalar_relation(name, points, target_of, cols_of, tol))
+    def add_fit(name, target, *columns):
+        report.add(fit_scalar_relation(name, target, columns, tol))
 
-    report.add(direct_test(
-        "semisymmetric", points,
-        lambda p: p.dot("R", "R"),
-        lambda p: float(np.abs(p.tach("g", "R")).max()), tol))
+    # a (0,6) product takes 32 kB a point; del drops each one that no later
+    # fit uses, which bounds the group's peak memory
+    RR = _dot(batch, "R", "R")
+    QgR = _tach(batch, "g", "R")
+    QSR = _tach(batch, "S", "R")
+    QgC = _tach(batch, "g", "C")
+    report.add(direct_test("semisymmetric", RR, _amax(QgR), tol))
+    add_fit("pseudosymmetric", RR, QgR)
+    add_fit("ricci_generalized_pseudosymmetric", RR, QSR)
+    add_fit("riemann_minus_ricci_tachibana", RR - QSR, QgC)
+    del RR
 
-    add_fit("pseudosymmetric",
-            lambda p: p.dot("R", "R"), lambda p: [p.tach("g", "R")])
-    add_fit("ricci_pseudosymmetric",
-            lambda p: p.dot("R", "S"), lambda p: [p.tach("g", "S")])
-    add_fit("conformal_pseudosymmetric",
-            lambda p: p.dot("R", "C"), lambda p: [p.tach("g", "C")])
-    add_fit("concircular_pseudosymmetric",
-            lambda p: p.dot("R", "W"), lambda p: [p.tach("g", "W")])
-    add_fit("conharmonic_pseudosymmetric",
-            lambda p: p.dot("R", "K"), lambda p: [p.tach("g", "K")])
-    add_fit("projective_pseudosymmetric",
-            lambda p: p.dot("R", "P"), lambda p: [p.tach("g", "P")])
-    add_fit("pseudosymmetric_weyl",
-            lambda p: p.dot("C", "C"), lambda p: [p.tach("g", "C")])
-    add_fit("weyl_dot_riemann_pseudosymmetric",
-            lambda p: p.dot("C", "R"), lambda p: [p.tach("g", "R")])
+    for name, eta in (("ricci_pseudosymmetric", "S"),
+                      ("concircular_pseudosymmetric", "W"),
+                      ("conharmonic_pseudosymmetric", "K"),
+                      ("projective_pseudosymmetric", "P")):
+        add_fit(name, _dot(batch, "R", eta), _tach(batch, "g", eta))
+    add_fit("pseudosymmetric_weyl", _dot(batch, "C", "C"), QgC)
     add_fit("concircular_dot_riemann_pseudosymmetric",
-            lambda p: p.dot("W", "R"), lambda p: [p.tach("g", "R")])
+            _dot(batch, "W", "R"), QgR)
     add_fit("conharmonic_dot_riemann_pseudosymmetric",
-            lambda p: p.dot("K", "R"), lambda p: [p.tach("g", "R")])
-    add_fit("ricci_generalized_pseudosymmetric",
-            lambda p: p.dot("R", "R"), lambda p: [p.tach("S", "R")])
-    add_fit("riemann_minus_ricci_tachibana",
-            lambda p: p.dot("R", "R") - p.tach("S", "R"),
-            lambda p: [p.tach("g", "C")])
-    add_fit("difference_tensor_vs_g_S_riemann",
-            lambda p: p.dot("C", "R") - p.dot("R", "C"),
-            lambda p: [p.tach("g", "R"), p.tach("S", "R")])
-    add_fit("difference_tensor_vs_S_g_weyl",
-            lambda p: p.dot("C", "R") - p.dot("R", "C"),
-            lambda p: [p.tach("S", "C"), p.tach("g", "C")])
+            _dot(batch, "K", "R"), QgR)
+
+    CR = _dot(batch, "C", "R")
+    add_fit("weyl_dot_riemann_pseudosymmetric", CR, QgR)
+    RC = _dot(batch, "R", "C")
+    add_fit("conformal_pseudosymmetric", RC, QgC)
+    difference = CR - RC
+    del CR, RC
+    add_fit("difference_tensor_vs_g_S_riemann", difference, QgR, QSR)
+    add_fit("difference_tensor_vs_S_g_weyl", difference,
+            _tach(batch, "S", "C"), QgC)
 
 
-def classify_einstein(points: List[PointData], tol: float,
+def classify_einstein(batch: PointBatch, tol: float,
                       report: StructureReport):
-    n = points[0].n
+    n = batch.n
+    g, S = batch.arrays["g"], batch.arrays["S"]
     # S = 0 satisfies S = (kappa/n) g with kappa = 0, so Ricci-flat space
     # is (trivially) Einstein rather than degenerate
-    rows = []
-    for p in points:
-        dev = np.abs(p.arr("S") - (p.kappa / n) * p.arr("g")).max()
-        rows.append(([], dev / (1.0 + np.abs(p.arr("S")).max()), False))
-    report.add(_assemble("einstein", rows, tol))
+    dev = _amax(S - (batch.kappa / n)[:, None, None] * g)
+    report.add(_assemble("einstein",
+                         [([], d / (1.0 + s), False)
+                          for d, s in zip(dev, _amax(S))], tol))
 
     # quasi-Einstein family: minimal rank of S - alpha g over eigenvalues
     # alpha of the Ricci operator; degenerate where S itself vanishes
     min_ranks: List[Optional[int]] = []
-    for p in points:
-        if np.abs(p.arr("S")).max() <= tol:
+    for i in range(len(S)):
+        if np.abs(S[i]).max() <= tol:
             min_ranks.append(None)
             continue
-        evals = np.linalg.eigvals(p.J)
+        evals = np.linalg.eigvals(batch.J[i])
         scale = max(np.abs(evals).max(), 1e-30)
         best = n
         for al in evals:
             if abs(al.imag) > 1e-8 * scale:
                 continue
-            dev = p.arr("S") - al.real * p.arr("g")
-            sv = np.linalg.svd(dev, compute_uv=False)
+            sv = np.linalg.svd(S[i] - al.real * g[i], compute_uv=False)
             rank = int((sv > RANK_CUTOFF * max(sv[0], 1e-30)).sum())
             best = min(best, rank)
         min_ranks.append(best)
@@ -470,61 +460,39 @@ def classify_einstein(points: List[PointData], tol: float,
         report.add(fit)
 
     # Einstein levels: minimal polynomial of the Ricci operator, expressed
-    # through powers of S lowered with g
-    def spow(p: PointData, k: int) -> np.ndarray:
-        out = p.arr("g").copy()
-        for _ in range(k):
-            out = out @ p.ginv @ p.arr("S")
-        return out
-
+    # through powers of S lowered with g: powers[k] = g (g^-1 S)^k
+    powers = [g]
+    for _ in range(4):
+        powers.append(powers[-1] @ batch.ginv @ S)
     for level in (2, 3, 4):
-        def target(p, level=level):
-            return -spow(p, level)
-
-        def cols(p, level=level):
-            return [spow(p, k) for k in range(level)][::-1]
-
-        report.add(fit_scalar_relation(f"einstein_level_{level}", points,
-                                       target, cols, tol))
+        report.add(fit_scalar_relation(f"einstein_level_{level}",
+                                       -powers[level], powers[level - 1::-1],
+                                       tol))
 
 
-def classify_roter(points: List[PointData], tol: float,
-                   report: StructureReport):
-    report.add(fit_scalar_relation(
-        "roter", points, lambda p: p.arr("R"),
-        lambda p: [p.wedge("g", "g"), p.wedge("g", "S"), p.wedge("S", "S")],
-        tol))
-    report.add(fit_scalar_relation(
-        "generalized_roter", points, lambda p: p.arr("R"),
-        lambda p: [p.wedge("g", "g"), p.wedge("g", "S"), p.wedge("S", "S"),
-                   p.wedge("g", "S2"), p.wedge("S", "S2"),
-                   p.wedge("S2", "S2")],
-        tol))
+def classify_roter(batch: PointBatch, tol: float, report: StructureReport):
+    R = batch.arrays["R"]
+    basis = [_wedge(batch, "g", "g"), _wedge(batch, "g", "S"),
+             _wedge(batch, "S", "S")]
+    report.add(fit_scalar_relation("roter", R, basis, tol))
+    basis += [_wedge(batch, "g", "S2"), _wedge(batch, "S", "S2"),
+              _wedge(batch, "S2", "S2")]
+    report.add(fit_scalar_relation("generalized_roter", R, basis, tol))
 
 
-def classify_recurrence(points: List[PointData], tol: float,
+def classify_recurrence(batch: PointBatch, tol: float,
                         report: StructureReport):
-    n = points[0].n
-
-    def add(name, bases):
-        def cols(p, bases=bases):
-            out = []
-            for b in bases:
-                out.extend(_outer_cols(b(p), n))
-            return out
-        report.add(fit_scalar_relation(name, points,
-                                       lambda p: p.arr("nabla_R"), cols, tol))
-
-    add("recurrent", [lambda p: p.arr("R")])
-    add("weakly_generalized_recurrent",
-        [lambda p: p.arr("R"), lambda p: p.wedge("S", "S")])
-    add("hyper_generalized_recurrent",
-        [lambda p: p.arr("R"), lambda p: p.wedge("S", "g")])
-    add("super_generalized_recurrent",
-        [lambda p: p.arr("R"), lambda p: p.wedge("g", "g"),
-         lambda p: p.wedge("S", "g"), lambda p: p.wedge("S", "S")])
-    add("special_metric_ricci_wedge_recurrent",
-        [lambda p: p.wedge("g", "S")])
+    n = batch.n
+    R, nabla_R = batch.arrays["R"], batch.arrays["nabla_R"]
+    gg, gS = _wedge(batch, "g", "g"), _wedge(batch, "g", "S")
+    Sg, SS = _wedge(batch, "S", "g"), _wedge(batch, "S", "S")
+    for name, bases in (("recurrent", [R]),
+                        ("weakly_generalized_recurrent", [R, SS]),
+                        ("hyper_generalized_recurrent", [R, Sg]),
+                        ("super_generalized_recurrent", [R, gg, Sg, SS]),
+                        ("special_metric_ricci_wedge_recurrent", [gS])):
+        cols = [c for b in bases for c in _outer_cols(b, n)]
+        report.add(fit_scalar_relation(name, nabla_R, cols, tol))
 
 
 def _nullspace_dim(columns: List[np.ndarray]) -> Optional[int]:
@@ -535,18 +503,17 @@ def _nullspace_dim(columns: List[np.ndarray]) -> Optional[int]:
     return int((sv < NULLSPACE_CUTOFF * sv[0]).sum())
 
 
-def classify_form_recurrence(points: List[PointData], tol: float,
+def classify_form_recurrence(batch: PointBatch, tol: float,
                              report: StructureReport):
-    n = points[0].n
+    n = batch.n
     for name, dkey, nkey in (("riemann_two_forms_recurrent", "R", "nabla_R"),
                              ("conformal_two_forms_recurrent", "C",
                               "nabla_C")):
         rows = []
         trivial_lhs = []
-        for p in points:
-            D = p.arr(dkey)
-            lhs = _cyc5(p.arr(nkey))
-            scale = np.abs(p.arr(nkey)).max()
+        for D, nab in zip(batch.arrays[dkey], batch.arrays[nkey]):
+            lhs = _cyc5(nab)
+            scale = np.abs(nab).max()
             if np.abs(D).max() <= tol:
                 rows.append((None, None, True))
                 trivial_lhs.append(False)
@@ -568,81 +535,62 @@ def classify_form_recurrence(points: List[PointData], tol: float,
 
     # recurrence of the 1-forms attached to the Ricci tensor, in both the
     # two-1-form and single-1-form variants
-    def target(p: PointData) -> np.ndarray:
-        nab = p.arr("nabla_S")  # nab[i,j,f] = (nabla_f S)_{ij}
-        return (np.transpose(nab, (2, 0, 1))
-                - np.transpose(nab, (0, 2, 1)))
-
-    def cols_two(p: PointData) -> List[np.ndarray]:
-        S = p.arr("S")
-        cols = []
-        for u in range(n):
-            c = np.zeros((n,) * 3)
-            c[u, :, :] = S
-            cols.append(c)
-        for u in range(n):
-            c = np.zeros((n,) * 3)
-            c[:, u, :] = -S
-            cols.append(c)
-        return cols
-
-    def cols_one(p: PointData) -> List[np.ndarray]:
-        two = cols_two(p)
-        return [two[u] + two[n + u] for u in range(n)]
-
-    report.add(fit_scalar_relation("ricci_one_forms_recurrent", points,
-                                   target, cols_two, tol))
+    S = batch.arrays["S"]
+    nab = batch.arrays["nabla_S"]  # nab[i,j,f] = (nabla_f S)_{ij}
+    target = _permute(nab, (2, 0, 1)) - _permute(nab, (0, 2, 1))
+    cols_two = []
+    for u in range(n):
+        c = np.zeros(S.shape[:-2] + (n,) * 3)
+        c[..., u, :, :] = S
+        cols_two.append(c)
+    for u in range(n):
+        c = np.zeros(S.shape[:-2] + (n,) * 3)
+        c[..., :, u, :] = -S
+        cols_two.append(c)
+    cols_one = [cols_two[u] + cols_two[n + u] for u in range(n)]
+    report.add(fit_scalar_relation("ricci_one_forms_recurrent", target,
+                                   cols_two, tol))
     report.add(fit_scalar_relation("ricci_one_forms_recurrent_single",
-                                   points, target, cols_one, tol))
+                                   target, cols_one, tol))
 
 
-def classify_ricci_properties(points: List[PointData], tol: float,
+def classify_ricci_properties(batch: PointBatch, tol: float,
                               report: StructureReport):
+    nab = batch.arrays["nabla_S"]
+    scale = _amax(nab)
+    report.add(direct_test("codazzi_ricci", nab - _permute(nab, (0, 2, 1)),
+                           scale, tol))
     report.add(direct_test(
-        "codazzi_ricci", points,
-        lambda p: p.arr("nabla_S") - np.transpose(p.arr("nabla_S"),
-                                                  (0, 2, 1)),
-        lambda p: float(np.abs(p.arr("nabla_S")).max()), tol))
-    report.add(direct_test(
-        "cyclic_parallel_ricci", points,
-        lambda p: (p.arr("nabla_S") + np.transpose(p.arr("nabla_S"), (2, 0, 1))
-                   + np.transpose(p.arr("nabla_S"), (1, 2, 0))),
-        lambda p: float(np.abs(p.arr("nabla_S")).max()), tol))
+        "cyclic_parallel_ricci",
+        nab + _permute(nab, (2, 0, 1)) + _permute(nab, (1, 2, 0)),
+        scale, tol))
 
+    ops = (("ricci", batch.J), ("stress", batch.ginv @ batch.arrays["T"]))
     for dname, dkey in (("riemann", "R"), ("weyl", "C"),
                         ("projective", "P"), ("concircular", "W"),
                         ("conharmonic", "K")):
-        for sname, op in (("ricci", lambda p: p.J),
-                          ("stress", lambda p: p.ginv @ p.arr("T"))):
-            report.add(direct_test(
-                f"{dname}_compatible_{sname}", points,
-                lambda p, dkey=dkey, op=op: _compat_cyc(op(p), p.arr(dkey)),
-                lambda p, dkey=dkey, op=op: float(
-                    np.abs(np.einsum("ua,uxbc->axbc", op(p),
-                                     p.arr(dkey))).max()),
-                tol))
+        for sname, op in ops:
+            # X[a,x,b,c] = sum_u op^u_a D[u,x,b,c]; the deviation is its
+            # cyclic sum over (a, b, c)
+            X = np.einsum("...ua,...uxbc->...axbc", op, batch.arrays[dkey])
+            cyc = X + _permute(X, (2, 1, 3, 0)) + _permute(X, (3, 1, 0, 2))
+            report.add(direct_test(f"{dname}_compatible_{sname}", cyc,
+                                   _amax(X), tol))
 
 
-def classify_symmetry_forms(points: List[PointData], tol: float,
+def classify_symmetry_forms(batch: PointBatch, tol: float,
                             report: StructureReport):
-    n = points[0].n
-    report.add(fit_scalar_relation(
-        "weakly_symmetric", points, lambda p: p.arr("nabla_R"),
-        lambda p: _weak_symmetry_cols(p.arr("R"), n), tol))
-    report.add(fit_scalar_relation(
-        "chaki_pseudosymmetric", points, lambda p: p.arr("nabla_R"),
-        lambda p: _chaki_cols(p.arr("R"), n), tol))
+    n = batch.n
+    R, nabla_R = batch.arrays["R"], batch.arrays["nabla_R"]
+    report.add(fit_scalar_relation("weakly_symmetric", nabla_R,
+                                   _weak_symmetry_cols(R, n), tol))
+    report.add(fit_scalar_relation("chaki_pseudosymmetric", nabla_R,
+                                   _chaki_cols(R, n), tol))
     for dname, dkey in (("riemann", "R"), ("weyl", "C"),
                         ("projective", "P"), ("concircular", "W"),
                         ("conharmonic", "K")):
-        dims = []
-        degenerate = True
-        for p in points:
-            dim = _nullspace_dim(_cyc_cols(p.arr(dkey), n))
-            dims.append(dim)
-            if dim is not None:
-                degenerate = False
-        if degenerate:
+        dims = [_nullspace_dim(_cyc_cols(D, n)) for D in batch.arrays[dkey]]
+        if all(d is None for d in dims):
             verdict = "degenerate"
         elif all(d is not None and d >= 1 for d in dims):
             verdict = "holds"
@@ -654,19 +602,18 @@ def classify_symmetry_forms(points: List[PointData], tol: float,
         report.add(fit)
 
 
-def classify_stress_pseudosymmetry(points: List[PointData], tol: float,
+def classify_stress_pseudosymmetry(batch: PointBatch, tol: float,
                                    report: StructureReport):
-    report.add(fit_scalar_relation(
-        "stress_pseudosymmetric", points,
-        lambda p: p.dot("R", "T"), lambda p: [p.tach("g", "T")], tol))
-    report.add(fit_scalar_relation(
-        "stress_weyl_pseudosymmetric", points,
-        lambda p: p.dot("C", "T"), lambda p: [p.tach("g", "T")], tol))
+    QgT = _tach(batch, "g", "T")
+    report.add(fit_scalar_relation("stress_pseudosymmetric",
+                                   _dot(batch, "R", "T"), [QgT], tol))
+    report.add(fit_scalar_relation("stress_weyl_pseudosymmetric",
+                                   _dot(batch, "C", "T"), [QgT], tol))
 
 
-def classify_scalars(points: List[PointData], tol: float,
+def classify_scalars(batch: PointBatch, tol: float,
                      report: StructureReport):
-    kappas = [p.kappa for p in points]
+    kappas = batch.kappa.tolist()
     ok = all(abs(k) <= tol for k in kappas)
     fit = CoefficientFit(relation="scalar_curvature_zero",
                          verdict="holds" if ok else "fails")
@@ -689,6 +636,7 @@ def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
     expression strings (in the metric's coordinates and parameters).
     """
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
+    point_values = report.plan.values()
     for name, candidate_lists in forms.items():
         fit = report.structures.get(name)
         if fit is None or fit.verdict == "degenerate":
@@ -703,10 +651,8 @@ def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
                 for pi, coef in enumerate(fit.coefficients):
                     if coef is None:
                         continue
-                    values = dict(report.plan.points[pi])
-                    values.update(report.plan.params)
                     try:
-                        want = ec.eval_float(expr, values, {})
+                        want = ec.eval_float(expr, point_values[pi], {})
                     except ec.EvalError as exc:
                         notes.append(f"candidate '{cand}' not evaluable: "
                                      f"{exc}")
@@ -745,17 +691,17 @@ def classify_metric(spec: MetricSpec, bundle: CurvatureBundle,
                     seed: int = DEFAULT_SEED,
                     reference_forms: Optional[Dict] = None) -> StructureReport:
     plan = build_sample_plan(spec, params, count, seed)
-    points = evaluate_plan(bundle, plan)
+    batch = evaluate_plan(bundle, plan)
     report = StructureReport(metric_id=spec.id, plan=plan, tol=tol)
-    classify_pseudosymmetries(points, tol, report)
-    classify_einstein(points, tol, report)
-    classify_roter(points, tol, report)
-    classify_recurrence(points, tol, report)
-    classify_form_recurrence(points, tol, report)
-    classify_ricci_properties(points, tol, report)
-    classify_symmetry_forms(points, tol, report)
-    classify_stress_pseudosymmetry(points, tol, report)
-    classify_scalars(points, tol, report)
+    classify_pseudosymmetries(batch, tol, report)
+    classify_einstein(batch, tol, report)
+    classify_roter(batch, tol, report)
+    classify_recurrence(batch, tol, report)
+    classify_form_recurrence(batch, tol, report)
+    classify_ricci_properties(batch, tol, report)
+    classify_symmetry_forms(batch, tol, report)
+    classify_stress_pseudosymmetry(batch, tol, report)
+    classify_scalars(batch, tol, report)
     if reference_forms:
         verify_reference_coefficients(report, spec, reference_forms)
     return report
@@ -806,12 +752,12 @@ def compare_metrics(rep_a: StructureReport, rep_b: StructureReport) -> Dict:
 # ---------------------------------------------------------------------------
 # published component-table verification
 
-def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
-                  lam: float = 0.0, h: float = 2e-4) -> PointData:
-    """Numeric curvature at one point using central finite differences of
-    the metric components only; independent of the symbolic derivative
-    path.  The derived tensors follow from R, S and kappa by the engine's
-    own derived_curvatures formulas."""
+def _fd_curvature(spec: MetricSpec, points: List[Dict[str, float]],
+                  lam: float = 0.0, h: float = 2e-4) -> PointBatch:
+    """Numeric curvature at the given points using central finite
+    differences of the metric components only; independent of the symbolic
+    derivative path.  The derived tensors follow from R, S and kappa by the
+    engine's own derived_curvatures formulas."""
     n = spec.dim
     coords = spec.coords
 
@@ -862,41 +808,44 @@ def _fd_curvature(spec: MetricSpec, values: Dict[str, float],
         arrays.update(zip("CPWKT", (t.data for t in derived)))
         return arrays, kappa
 
-    gam = gamma_at(values)
-
-    def covariant(func):
+    def covariant(func, values):
+        gam = gamma_at(values)
         base = func(values)
-        d = fd(func, values)
-        k = base.ndim
-        out = d.copy()
-        for s in range(k):
+        out = fd(func, values)
+        for s in range(base.ndim):
             moved = np.moveaxis(base, s, 0)          # [u, rest...]
             corr = np.einsum("ufc,u...->...cf", gam, moved)
             # corr has shape rest... + (c, f); put c back at slot s
-            corr = np.moveaxis(corr, -2, s)
-            out -= corr
+            out -= np.moveaxis(corr, -2, s)
         return out
 
-    arrays, kappa = curvature_at(values)
-    arrays["nabla_R"] = covariant(rlow_at)
-    arrays["nabla_C"] = covariant(lambda vals: curvature_at(vals)[0]["C"])
-    return PointData.from_arrays(values, arrays, kappa)
+    per_point, kappas = [], []
+    for values in points:
+        arrays, kappa = curvature_at(values)
+        arrays["nabla_R"] = covariant(rlow_at, values)
+        arrays["nabla_C"] = covariant(
+            lambda vals: curvature_at(vals)[0]["C"], values)
+        per_point.append(arrays)
+        kappas.append(kappa)
+    return PointBatch.stack(per_point, kappas)
 
 
-def _check_value(kind, indices, point: PointData):
-    idx = tuple(i - 1 for i in indices)
-    if kind == "kappa":
-        return point.kappa
-    op, *names = kind.split(":")
-    if op == "tensor":
-        return float(point.arr(names[0])[idx])
-    if op == "wedge":
-        return float(point.wedge(names[0], names[1])[idx])
-    if op == "dot":
-        return float(point.dot(names[0], names[1])[idx])
-    if op == "tach":
-        return float(point.tach(names[0], names[1])[idx])
-    raise ClassifyError(f"unknown check kind '{kind}'")
+def check_values(kind: str, indices: Sequence[int], batch: PointBatch,
+                 tables: Dict[str, np.ndarray]) -> np.ndarray:
+    """One published-table entry (kind, 1-based indices) at every point of
+    the batch.  tables holds each kind's table over the batch, filled on
+    first use, so that a product is formed once per kind."""
+    if kind not in tables:
+        op, *names = kind.split(":")
+        if kind == "kappa":
+            tables[kind] = batch.kappa
+        elif op == "tensor":
+            tables[kind] = batch.arrays[names[0]]
+        elif op in _PRODUCTS:
+            tables[kind] = _PRODUCTS[op](batch, *names)
+        else:
+            raise ClassifyError(f"unknown check kind '{kind}'")
+    return tables[kind][(slice(None), *(i - 1 for i in indices))]
 
 
 def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
@@ -913,17 +862,20 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
     own product code, so its confirmation cannot catch an error in a
     product's convention."""
     plan = build_sample_plan(spec, None, count, seed)
-    points = evaluate_plan(bundle, plan)
+    batch = evaluate_plan(bundle, plan)
+    point_values = plan.values()
+    ref_values = [{"Lambda": lam, **values} for values in point_values]
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
     results = []
-    fd_cache: Dict[int, PointData] = {}
+    tables: Dict[str, np.ndarray] = {}
+    fd_batch = None
+    fd_tables: Dict[str, np.ndarray] = {}
     for chk in checks:
         expr = ec.parse_expr(chk["expr"], allowed)
         status = "match"
         detail = None
-        for pi, p in enumerate(points):
-            values = dict(p.values)
-            values.setdefault("Lambda", lam)
+        engine = check_values(chk["kind"], chk["indices"], batch, tables)
+        for pi, values in enumerate(ref_values):
             try:
                 ref = ec.eval_float(expr, values, {})
             except ec.EvalError as exc:
@@ -931,7 +883,7 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
                 detail = {"point_index": pi, "reason": f"reference value "
                           f"not evaluable: {exc}"}
                 break
-            eng = _check_value(chk["kind"], chk["indices"], p)
+            eng = float(engine[pi])
             if abs(eng - ref) > rel_tol * (1.0 + abs(eng) + abs(ref)):
                 status = "mismatch"
                 detail = {"point_index": pi, "engine": eng, "reference": ref}
@@ -942,14 +894,14 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
             entry.update(detail)
         if status == "mismatch":
             # confirm the engine value independently at two points
+            if fd_batch is None:
+                fd_batch = _fd_curvature(spec, point_values[:2], lam)
+            fd_values = check_values(chk["kind"], chk["indices"], fd_batch,
+                                     fd_tables)
             fd_ok = True
             worst = 0.0
             for pi in (0, 1):
-                p = points[pi]
-                if pi not in fd_cache:
-                    fd_cache[pi] = _fd_curvature(spec, p.values, lam)
-                eng = _check_value(chk["kind"], chk["indices"], p)
-                fdv = _check_value(chk["kind"], chk["indices"], fd_cache[pi])
+                eng, fdv = float(engine[pi]), float(fd_values[pi])
                 rel = abs(eng - fdv) / (1.0 + abs(eng) + abs(fdv))
                 worst = max(worst, rel)
                 if rel > 5e-5:

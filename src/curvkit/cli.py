@@ -208,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         if name == "components":
             p.add_argument("--tensor", default="R",
-                           help="g, R, S, S2, C, P, W, K, T, nabla_R, "
-                                "nabla_C, nabla_S, or kappa")
+                           help=", ".join(cv.TENSORS) + ", or kappa")
         p.set_defaults(fn=fn)
     return parser
 

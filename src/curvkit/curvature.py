@@ -108,6 +108,11 @@ def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
     return ComponentTensor(out, k + 1, T.dim)
 
 
+# the names CurvatureBundle.tensor accepts
+TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T",
+           "nabla_R", "nabla_C", "nabla_S")
+
+
 @dataclass
 class CurvatureBundle:
     """Everything the classifier consumes, fully symbolic."""
@@ -129,16 +134,10 @@ class CurvatureBundle:
     T: ComponentTensor
 
     def tensor(self, name: str) -> ComponentTensor:
-        by_name = {
-            "g": self.metric.g, "R": self.R, "S": self.S, "S2": self.S2,
-            "C": self.C, "P": self.P, "W": self.W, "K": self.K,
-            "T": self.T, "nabla_R": self.nabla_R,
-            "nabla_C": self.nabla_C, "nabla_S": self.nabla_S,
-        }
-        if name not in by_name:
+        if name not in TENSORS:
             raise KeyError(f"unknown tensor '{name}' (choose from "
-                           f"{sorted(by_name)})")
-        return by_name[name]
+                           f"{sorted(TENSORS)})")
+        return self.metric.g if name == "g" else getattr(self, name)
 
 
 def build_bundle(metric: MetricData, coords: Sequence[str],

@@ -7,7 +7,9 @@ symbolic mode, float64 in evaluated mode.  Each product has one
 implementation, written as array arithmetic (broadcasting and einsum) that
 numpy carries out with Expr operators on object arrays and in floating
 point on float arrays; the test suite checks it against brute-force
-index-loop oracles.
+index-loop oracles.  The products also take stacks of evaluated tensors
+(leading axes before the slots, such as one axis over sample points) and
+give, stack entry by stack entry, the same floats as one call per entry.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ class TensorError(Exception):
 
 
 class ComponentTensor:
-    """Dense (0,k) tensor over dimension n."""
+    """Dense (0,k) tensor over dimension n: the last k axes of data are the
+    tensor's slots; leading axes, if any, index a stack of such tensors."""
 
     __slots__ = ("data", "valence", "dim")
 
     def __init__(self, data, valence: int, dim: int):
         arr = np.asarray(data)
-        if arr.shape != (dim,) * valence:
+        if (arr.ndim < valence
+                or arr.shape[arr.ndim - valence:] != (dim,) * valence):
             raise TensorError(
                 f"shape {arr.shape} does not match valence {valence}, "
                 f"dimension {dim}")
@@ -130,6 +134,11 @@ def _require_same_mode(*tensors):
         raise TensorError("cannot mix symbolic and evaluated tensors")
 
 
+# einsum letters for the slots of eta besides the one a product acts on; the
+# stack axes are the einsum ellipsis
+_REST = "defgh"
+
+
 def kulkarni_nomizu(tau: ComponentTensor, lam: ComponentTensor) -> ComponentTensor:
     """(tau ^ lam)(z1,z2,X,Y) = tau(z1,Y)lam(z2,X) - tau(z1,X)lam(z2,Y)
     + tau(z2,X)lam(z1,Y) - tau(z2,Y)lam(z1,X)."""
@@ -140,8 +149,8 @@ def kulkarni_nomizu(tau: ComponentTensor, lam: ComponentTensor) -> ComponentTens
 
     def slots(m):
         # m[z1,X], m[z1,Y], m[z2,X], m[z2,Y] broadcast over (z1, z2, X, Y)
-        return (m[:, None, :, None], m[:, None, None, :],
-                m[None, :, :, None], m[None, :, None, :])
+        return (m[..., :, None, :, None], m[..., :, None, None, :],
+                m[..., None, :, :, None], m[..., None, :, None, :])
 
     a1x, a1y, a2x, a2y = slots(tau.data)
     b1x, b1y, b2x, b2y = slots(lam.data)
@@ -164,12 +173,13 @@ def dot_action(D: ComponentTensor, eta: ComponentTensor,
     l = eta.valence
     _require_same_mode(D, eta, ComponentTensor(g_inv, 2, n))
     # contract the last slot of D with g^{uv} once
-    Dg = np.einsum("abcv,uv->abcu", D.data, g_inv)
+    Dg = np.einsum("...abcv,...uv->...abcu", D.data, g_inv)
+    rest = _REST[:l - 1]
     out = np.zeros(eta.data.shape + (n, n), dtype=eta.data.dtype)
     for s in range(l):
-        eta_m = np.moveaxis(eta.data, s, 0)
-        term = np.einsum("abcu,u...->...cab", Dg, eta_m)
-        out -= np.moveaxis(term, l - 1, s)
+        eta_m = np.moveaxis(eta.data, s - l, -l)
+        term = np.einsum(f"...abcu,...u{rest}->...{rest}cab", Dg, eta_m)
+        out -= np.moveaxis(term, -3, s - l - 2)
     return ComponentTensor(out, l + 2, n)
 
 
@@ -187,10 +197,11 @@ def tachibana(lam: ComponentTensor, eta: ComponentTensor) -> ComponentTensor:
     n = lam.dim
     l = eta.valence
     _require_same_mode(lam, eta)
+    rest = _REST[:l - 1]
     out = np.zeros(eta.data.shape + (n, n), dtype=eta.data.dtype)
     for s in range(l):
-        eta_m = np.moveaxis(eta.data, s, 0)
-        t1 = np.einsum("ca,b...->...cab", lam.data, eta_m)
-        t2 = np.einsum("cb,a...->...cab", lam.data, eta_m)
-        out += np.moveaxis(t1 - t2, l - 1, s)
+        eta_m = np.moveaxis(eta.data, s - l, -l)
+        t1 = np.einsum(f"...ca,...b{rest}->...{rest}cab", lam.data, eta_m)
+        t2 = np.einsum(f"...cb,...a{rest}->...{rest}cab", lam.data, eta_m)
+        out += np.moveaxis(t1 - t2, -3, s - l - 2)
     return ComponentTensor(out, l + 2, n)

@@ -44,6 +44,30 @@ def test_sample_plan_parameter_override():
     assert plan.params["M"] == 1.0
 
 
+UNBOUND = """\
+dim 4
+coords t r theta phi
+params M e a
+range r 2.5 4
+g[0][0] = -(1 - 2*M*r^2/(e^2+r^2)^(3/2))
+g[1][1] = 1
+g[2][2] = r^2
+g[3][3] = r^2*sin(theta)^2
+"""
+
+
+def test_sample_plan_names_unbound_parameters():
+    # a parameter of g with no value is an error before any sampling; the
+    # declared parameter a does not occur in g and needs no value
+    spec = parse_metric_source(UNBOUND, "unbound")
+    with pytest.raises(ClassifyError, match=r"\['M', 'e'\]"):
+        build_sample_plan(spec)
+    with pytest.raises(ClassifyError, match=r"\['e'\]"):
+        build_sample_plan(spec, {"M": 1.0})
+    plan = build_sample_plan(spec, {"M": 1.0, "e": 0.5})
+    assert plan.params == {"M": 1.0, "e": 0.5}
+
+
 # ---------------------------------------------------------------------------
 # determinism of the full report
 

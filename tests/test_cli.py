@@ -76,15 +76,16 @@ def test_components_kappa_and_tensor(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_components_unknown_tensor_exits_1(capsys):
-    # KeyError from the bundle accessor surfaces as a computation error
+def test_components_unknown_tensor_exits_2(capsys):
+    # KeyError from the bundle accessor surfaces as a usage error
     try:
         rc = cli.run(["components", "--metric", "minkowski", "--tensor",
                       "bogus"])
     except KeyError:
         pytest.fail("unknown tensor name must not raise through the CLI")
-    assert rc in (1, 2)
-    capsys.readouterr()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "unknown tensor 'bogus'" in err and "nabla_S" in err
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,19 @@ def test_classify_metric_file_with_params(tmp_path, capsys):
     assert verdicts["roter"] == "holds"
     assert verdicts["einstein"] == "fails"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("params, missing", [
+    ([], "['M', 'e']"),
+    (["--param", "M=1"], "['e']"),
+])
+def test_classify_unbound_params_exit_1(tmp_path, capsys, params, missing):
+    path = tmp_path / "regular.metric"
+    path.write_text(GOOD)
+    assert cli.run(["classify", "--metric", str(path), *params]) == 1
+    err = capsys.readouterr().err
+    assert missing in err
+    assert "sample points" not in err
 
 
 # ---------------------------------------------------------------------------

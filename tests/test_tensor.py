@@ -74,6 +74,37 @@ def test_tachibana_of_metric_with_itself_vanishes():
     assert np.abs(got.data).max() < 1e-12
 
 
+def stack(make, count=5):
+    """A (count, n, ..., n) stack of tensors from make(), and the tensors."""
+    items = [make() for _ in range(count)]
+    return ComponentTensor(np.stack([t.data for t in items]),
+                           items[0].valence, items[0].dim), items
+
+
+def test_products_over_a_stack_equal_each_entrys_own_call():
+    # a leading stack axis gives, entry by entry, the very floats of one
+    # call per entry
+    lam, lams = stack(lambda: rand_tensor(2, 4, "symmetric"))
+    tau, taus = stack(lambda: rand_tensor(2, 4, "symmetric"))
+    D, Ds = stack(lambda: rand_tensor(4, 4, "riemann"))
+    ginv = np.stack([rand_tensor(2, 4, "symmetric").data + 3 * np.eye(4)
+                     for _ in range(5)])
+    got = kulkarni_nomizu(tau, lam)
+    assert got.valence == 4 and got.data.shape == (5,) + (4,) * 4
+    for i in range(5):
+        assert np.array_equal(got.data[i],
+                              kulkarni_nomizu(taus[i], lams[i]).data)
+    for valence in (1, 2, 4):
+        eta, etas = stack(lambda: rand_tensor(valence, 4))
+        dots = dot_action(D, eta, ginv).data
+        tachs = tachibana(lam, eta).data
+        assert dots.shape == tachs.shape == (5,) + (4,) * (valence + 2)
+        for i in range(5):
+            assert np.array_equal(dots[i],
+                                  dot_action(Ds[i], etas[i], ginv[i]).data)
+            assert np.array_equal(tachs[i], tachibana(lams[i], etas[i]).data)
+
+
 # ---------------------------------------------------------------------------
 # symbolic path agrees with the numeric path
 
@@ -175,6 +206,12 @@ def test_invert_metric_rejects_asymmetric():
 def test_shape_validation():
     with pytest.raises(TensorError):
         ComponentTensor(np.zeros((3, 3)), 2, 4)
+    with pytest.raises(TensorError):
+        ComponentTensor(np.zeros((3, 4)), 2, 4)
+    with pytest.raises(TensorError):
+        ComponentTensor(np.zeros(4), 2, 4)
+    # leading axes are a stack; only the trailing valence axes are slots
+    assert ComponentTensor(np.zeros((5, 4, 4)), 2, 4).valence == 2
 
 
 def test_mode_mixing_rejected():
