@@ -7,7 +7,11 @@ charged black holes.  Reports land in reports/ as JSON.
 reports/components_sha256.json holds the sha256 of the bytes that
 `curvkit components --metric M --tensor X` prints for every builtin and
 every tensor of the bundle, so that `git status reports/` after a run shows
-whether a change moved any symbolic component.
+whether a change moved any symbolic component.  reports/classify_sha256.json
+likewise holds the sha256 of what `curvkit classify --metric M --points P
+--seed S` prints for every builtin at 12, 48 and 192 points and seeds 42
+and 7, so that a change to the numeric path shows if it moves any bit of a
+classification.
 
 With --check nothing is written: every report is regenerated in memory and
 compared with the committed file byte for byte; the exit status is 1 and
@@ -27,6 +31,8 @@ OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "reports")
 BUILTINS = ("bardeen", "reissner_nordstrom", "schwarzschild", "minkowski")
 TENSORS = curvature.TENSORS + ("kappa",)
+CLASSIFY_POINTS = (12, 48, 192)
+CLASSIFY_SEEDS = (42, 7)
 JOBS = tuple((f"classify_{mid}.json", ["classify", "--metric", mid])
              for mid in BUILTINS) + (
     ("verify_bardeen.json", ["verify", "--metric", "bardeen"]),
@@ -43,19 +49,30 @@ def run_cli(argv):
     return rc, buf.getvalue()
 
 
+def digest(argv):
+    """sha256 of the stdout of one in-process `curvkit` run, which must
+    succeed; the captured text is the CLI's stdout byte for byte."""
+    rc, text = run_cli(argv)
+    if rc != 0:
+        raise SystemExit(f"{' '.join(argv)}: exit {rc}")
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def component_digests():
-    """sha256 of each `components` dump, run in-process through cli.run;
-    the captured text is the CLI's stdout byte for byte."""
-    out = {}
-    for mid in BUILTINS:
-        for name in TENSORS:
-            rc, text = run_cli(["components", "--metric", mid,
-                                "--tensor", name])
-            if rc != 0:
-                raise SystemExit(f"components {mid} {name}: exit {rc}")
-            digest = hashlib.sha256(text.encode("utf-8"))
-            out.setdefault(mid, {})[name] = digest.hexdigest()
-    return out
+    """sha256 of each `components` dump."""
+    return {mid: {name: digest(["components", "--metric", mid,
+                                "--tensor", name]) for name in TENSORS}
+            for mid in BUILTINS}
+
+
+def classify_digests():
+    """sha256 of each classification, keyed by metric, then by
+    "<points>/<seed>"."""
+    return {mid: {f"{n}/{seed}": digest(["classify", "--metric", mid,
+                                         "--points", str(n),
+                                         "--seed", str(seed)])
+                  for n in CLASSIFY_POINTS for seed in CLASSIFY_SEEDS}
+            for mid in BUILTINS}
 
 
 def reports():
@@ -64,8 +81,9 @@ def reports():
     for fname, argv in JOBS:
         rc, text = run_cli(argv)
         yield fname, rc, text[:-1]
-    digests = json.dumps(component_digests(), indent=2) + "\n"
-    yield "components_sha256.json", 0, digests
+    for fname, digests in (("components_sha256.json", component_digests),
+                           ("classify_sha256.json", classify_digests)):
+        yield fname, 0, json.dumps(digests(), indent=2) + "\n"
 
 
 def main(argv=None):

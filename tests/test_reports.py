@@ -62,3 +62,15 @@ def test_components_dump_matches_digest(metric_id, tensor):
                         "--tensor", tensor]) == 0
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == committed("components_sha256.json")[metric_id][tensor]
+
+
+@pytest.mark.parametrize("metric_id", ["bardeen", "reissner_nordstrom"])
+def test_classify_output_matches_digest(metric_id):
+    # every float bit of the numeric path: reproduce_reports.py checks all
+    # 24 runs (4 builtins x 12/48/192 points x seeds 42 and 7)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(["classify", "--metric", metric_id, "--points", "48",
+                        "--seed", "7"]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == committed("classify_sha256.json")[metric_id]["48/7"]
