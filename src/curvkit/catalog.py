@@ -202,21 +202,18 @@ def load_metric(path: str) -> MetricSpec:
 
 
 def _probe_invertibility(spec: MetricSpec, probes: int = 4, seed: int = 11):
+    """g must be finite and invertible at probes of probes * 8 points."""
     rng = random.Random(seed)
     names = spec.coords + spec.params
-    ok = 0
-    for _ in range(probes * 8):
-        values = {nm: rng.uniform(*spec.coordinate_range(nm)) for nm in names}
-        values.update(spec.defaults)
-        try:
-            m = spec.g().evaluate(values).data
-        except ec.EvalError:
-            continue
-        if abs(np.linalg.det(m)) > 1e-12:
-            ok += 1
-            if ok >= probes:
-                return
-    raise CatalogError(f"metric '{spec.id}' is singular at all probe points")
+    draws = np.array([[rng.uniform(*spec.coordinate_range(nm))
+                       for nm in names] for _ in range(probes * 8)])
+    m = spec.g().evaluate(dict(zip(names, draws.T), **spec.defaults)).data
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(m).all(axis=(1, 2)) \
+            & (np.abs(np.linalg.det(m)) > 1e-12)
+    if ok.sum() < probes:
+        raise CatalogError(f"metric '{spec.id}' is singular or not finite "
+                           f"at all probe points")
 
 
 # ---------------------------------------------------------------------------

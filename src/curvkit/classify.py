@@ -53,16 +53,19 @@ class SamplePlan:
     def __len__(self):
         return len(self.points)
 
-    def values(self) -> List[Dict[str, float]]:
-        """Each point's coordinates together with the parameter binding."""
-        return [dict(pt, **self.params) for pt in self.points]
+    def binding(self) -> Dict[str, object]:
+        """The plan for exprcore.eval_float: each coordinate as an array
+        over the points, each parameter a float."""
+        return dict({c: np.array([pt[c] for pt in self.points])
+                     for c in self.points[0]}, **self.params)
 
 
 def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = None,
                       count: int = DEFAULT_POINTS,
                       seed: int = DEFAULT_SEED) -> SamplePlan:
     """Draw count in-range points, resampling any point where the metric is
-    singular, nearly degenerate, or hits an evaluation domain error."""
+    not finite (a domain error or an overflow), singular, or nearly
+    degenerate."""
     if count < 4:
         raise ClassifyError("a sample plan needs at least 4 points")
     bound = dict(spec.defaults)
@@ -77,26 +80,31 @@ def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = Non
         raise ClassifyError(f"no value for the metric's parameters "
                             f"{sorted(unbound)}")
     rng = random.Random(seed)
-    points = []
-    attempts = 0
+    points: List[Dict[str, float]] = []
+    tally = np.zeros(4, dtype=int)  # candidates by first check failed, 3: none
     while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise ClassifyError("could not find enough regular sample points")
-        pt = {c: rng.uniform(*spec.coordinate_range(c)) for c in spec.coords}
-        values = dict(pt)
-        values.update(bound)
-        try:
-            g = spec.g().evaluate(values).data
-        except ec.EvalError:
-            continue
-        if not np.all(np.isfinite(g)):
-            continue
-        if abs(np.linalg.det(g)) < 1e-10:
-            continue
-        if abs(g[0, 0]) < METRIC_REGULARITY_FLOOR:
-            continue  # stay away from horizons where components blow up
-        points.append(pt)
+        if tally.sum() >= 200 * count:
+            raise ClassifyError(
+                f"could not find enough regular sample points: "
+                f"{tally.sum()} candidates drawn, {tally[0]} not finite "
+                f"(a domain error or an overflow), {tally[1]} with a "
+                f"singular det, {tally[2]} with |g00| below "
+                f"{METRIC_REGULARITY_FLOOR}")
+        # candidates in batches of count, drawn in the order of one at a
+        # time, so the first count regular ones are the plan
+        cand = np.array([[rng.uniform(*spec.coordinate_range(c))
+                          for c in spec.coords] for _ in range(count)])
+        gv = spec.g().evaluate(dict(zip(spec.coords, cand.T), **bound)).data
+        # the first check each candidate fails; the g00 floor keeps away
+        # from horizons, where components blow up
+        with np.errstate(all="ignore"):
+            why = np.select([~np.isfinite(gv).all(axis=(1, 2)),
+                             np.abs(np.linalg.det(gv)) < 1e-10,
+                             np.abs(gv[:, 0, 0]) < METRIC_REGULARITY_FLOOR],
+                            [0, 1, 2], 3)
+        tally += np.bincount(why, minlength=4)
+        keep = np.flatnonzero(why == 3)[:count - len(points)]
+        points += [dict(zip(spec.coords, row)) for row in cand[keep].tolist()]
     return SamplePlan(points=points, params=bound, seed=seed)
 
 
@@ -173,16 +181,12 @@ class PointBatch:
 
     arrays: Dict[str, np.ndarray]
     kappa: np.ndarray                 # (P,)
-    ginv: np.ndarray                  # (P, n, n)
-    J: np.ndarray                     # (P, n, n) Ricci operator g^-1 S
+    ginv: np.ndarray = field(init=False)   # (P, n, n)
+    J: np.ndarray = field(init=False)      # (P, n, n) Ricci operator g^-1 S
 
-    @classmethod
-    def stack(cls, per_point: List[Dict[str, np.ndarray]],
-              kappa: List[float]) -> "PointBatch":
-        arrays = {name: np.stack([p[name] for p in per_point])
-                  for name in per_point[0]}
-        ginv = np.linalg.inv(arrays["g"])
-        return cls(arrays, np.array(kappa), ginv, ginv @ arrays["S"])
+    def __post_init__(self):
+        self.ginv = np.linalg.inv(self.arrays["g"])
+        self.J = self.ginv @ self.arrays["S"]
 
     @property
     def n(self) -> int:
@@ -194,13 +198,18 @@ class PointBatch:
 
 
 def evaluate_plan(bundle: CurvatureBundle, plan: SamplePlan) -> PointBatch:
-    per_point, kappa = [], []
-    for values in plan.values():
-        memo: dict = {}
-        per_point.append({name: bundle.tensor(name).evaluate(values, memo).data
-                          for name in cv.TENSORS})
-        kappa.append(ec.eval_float(bundle.kappa, values, memo))
-    return PointBatch.stack(per_point, kappa)
+    """The bundle at every plan point: one evaluation per tensor, over the
+    point axis.  An entry that is not finite at a point fails the run."""
+    values, memo = plan.binding(), {}
+    arrays = {name: bundle.tensor(name).evaluate(values, memo).data
+              for name in cv.TENSORS}
+    kappa = np.full(len(plan), ec.eval_float(bundle.kappa, values, memo))
+    for name, a in (*arrays.items(), ("kappa", kappa)):
+        bad = np.flatnonzero(~np.isfinite(a.reshape(len(plan), -1)).all(1))
+        if bad.size:
+            raise ec.EvalError(f"{name} is not finite at sample point "
+                               f"{bad[0]} {plan.points[bad[0]]}")
+    return PointBatch(arrays, kappa)
 
 
 # the products over a batch, computed afresh by each caller; a classify
@@ -627,6 +636,17 @@ def classify_scalars(batch: PointBatch, tol: float,
 # ---------------------------------------------------------------------------
 # closed-form coefficient verification
 
+def _first_miss(have: np.ndarray, want: np.ndarray,
+                rel_tol: float) -> Optional[int]:
+    """Index of the first point where want is not finite or differs from
+    have by more than rel_tol relative, or None."""
+    with np.errstate(invalid="ignore"):
+        off = np.abs(have - want) > rel_tol * (1.0 + np.abs(have)
+                                               + np.abs(want))
+    miss = np.flatnonzero(off | ~np.isfinite(want))
+    return int(miss[0]) if miss.size else None
+
+
 def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
                                   forms: Dict[str, List[List[str]]],
                                   rel_tol: float = 1e-8):
@@ -636,39 +656,31 @@ def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
     expression strings (in the metric's coordinates and parameters).
     """
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
-    point_values = report.plan.values()
+    values, memo = report.plan.binding(), {}
     for name, candidate_lists in forms.items():
         fit = report.structures.get(name)
         if fit is None or fit.verdict == "degenerate":
             continue
+        live = [pi for pi, c in enumerate(fit.coefficients) if c is not None]
         all_ok = True
         for ci, candidates in enumerate(candidate_lists):
+            have = np.array([fit.coefficients[pi][ci] for pi in live])
             matched = None
             notes = []
             for cand in candidates:
-                expr = ec.parse_expr(cand, allowed)
-                ok = True
-                for pi, coef in enumerate(fit.coefficients):
-                    if coef is None:
-                        continue
-                    try:
-                        want = ec.eval_float(expr, point_values[pi], {})
-                    except ec.EvalError as exc:
-                        notes.append(f"candidate '{cand}' not evaluable: "
-                                     f"{exc}")
-                        ok = False
-                        break
-                    have = coef[ci]
-                    if abs(have - want) > rel_tol * (1 + abs(have)
-                                                     + abs(want)):
-                        notes.append(
-                            f"candidate '{cand}' off at point {pi}: "
-                            f"fitted {have!r}, closed form {want!r}")
-                        ok = False
-                        break
-                if ok:
+                want = np.broadcast_to(ec.eval_float(
+                    ec.parse_expr(cand, allowed), values, memo),
+                    (len(report.plan),))[live]
+                miss = _first_miss(have, want, rel_tol)
+                if miss is None:
                     matched = cand
                     break
+                pi = live[miss]
+                notes.append(f"candidate '{cand}' " + (
+                    f"off at point {pi}: fitted {float(have[miss])!r}, "
+                    f"closed form {float(want[miss])!r}"
+                    if np.isfinite(want[miss])
+                    else f"not evaluable at point {pi}"))
             if matched is None:
                 all_ok = False
                 report.discrepancies.append(
@@ -705,22 +717,6 @@ def classify_metric(spec: MetricSpec, bundle: CurvatureBundle,
     if reference_forms:
         verify_reference_coefficients(report, spec, reference_forms)
     return report
-
-
-SIMILARITY_STRUCTURES = (
-    "roter",
-    "einstein_level_2",
-    "pseudosymmetric",
-    "conformal_two_forms_recurrent",
-    "riemann_compatible_ricci",
-    "weyl_compatible_ricci",
-)
-
-DISSIMILARITY_STRUCTURES = (
-    "scalar_curvature_zero",
-    "weakly_generalized_recurrent",
-    "special_metric_ricci_wedge_recurrent",
-)
 
 
 def compare_metrics(rep_a: StructureReport, rep_b: StructureReport) -> Dict:
@@ -760,9 +756,14 @@ def _fd_curvature(spec: MetricSpec, points: List[Dict[str, float]],
     engine's own derived_curvatures formulas."""
     n = spec.dim
     coords = spec.coords
+    seen: Dict[tuple, np.ndarray] = {}
 
     def gmat(vals):
-        return spec.g().evaluate(vals).data
+        # the nested stencils below visit each point about 12 times
+        key = tuple(vals[c] for c in coords)
+        if key not in seen:
+            seen[key] = spec.g().evaluate(vals).data
+        return seen[key]
 
     def shifted(vals, k, dh):
         out = dict(vals)
@@ -827,7 +828,8 @@ def _fd_curvature(spec: MetricSpec, points: List[Dict[str, float]],
             lambda vals: curvature_at(vals)[0]["C"], values)
         per_point.append(arrays)
         kappas.append(kappa)
-    return PointBatch.stack(per_point, kappas)
+    return PointBatch({name: np.stack([p[name] for p in per_point])
+                       for name in per_point[0]}, np.array(kappas))
 
 
 def check_values(kind: str, indices: Sequence[int], batch: PointBatch,
@@ -863,51 +865,39 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
     product's convention."""
     plan = build_sample_plan(spec, None, count, seed)
     batch = evaluate_plan(bundle, plan)
-    point_values = plan.values()
-    ref_values = [{"Lambda": lam, **values} for values in point_values]
+    values, memo = dict(plan.binding(), Lambda=lam), {}
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}
     results = []
     tables: Dict[str, np.ndarray] = {}
     fd_batch = None
     fd_tables: Dict[str, np.ndarray] = {}
     for chk in checks:
-        expr = ec.parse_expr(chk["expr"], allowed)
-        status = "match"
-        detail = None
         engine = check_values(chk["kind"], chk["indices"], batch, tables)
-        for pi, values in enumerate(ref_values):
-            try:
-                ref = ec.eval_float(expr, values, {})
-            except ec.EvalError as exc:
-                status = "mismatch"
-                detail = {"point_index": pi, "reason": f"reference value "
-                          f"not evaluable: {exc}"}
-                break
-            eng = float(engine[pi])
-            if abs(eng - ref) > rel_tol * (1.0 + abs(eng) + abs(ref)):
-                status = "mismatch"
-                detail = {"point_index": pi, "engine": eng, "reference": ref}
-                break
+        ref = np.broadcast_to(ec.eval_float(
+            ec.parse_expr(chk["expr"], allowed), values, memo), engine.shape)
+        pi = _first_miss(engine, ref, rel_tol)
         entry = {"group": chk["group"], "kind": chk["kind"],
-                 "indices": list(chk["indices"]), "status": status}
-        if detail is not None:
-            entry.update(detail)
-        if status == "mismatch":
+                 "indices": list(chk["indices"]),
+                 "status": "match" if pi is None else "mismatch"}
+        if pi is not None:
+            entry["point_index"] = pi
+            if np.isfinite(ref[pi]):
+                entry.update(engine=float(engine[pi]),
+                             reference=float(ref[pi]))
+            else:
+                entry["reason"] = "reference value not evaluable"
             # confirm the engine value independently at two points
             if fd_batch is None:
-                fd_batch = _fd_curvature(spec, point_values[:2], lam)
+                fd_batch = _fd_curvature(spec, [
+                    dict(pt, **plan.params) for pt in plan.points[:2]], lam)
             fd_values = check_values(chk["kind"], chk["indices"], fd_batch,
                                      fd_tables)
-            fd_ok = True
-            worst = 0.0
-            for pi in (0, 1):
-                eng, fdv = float(engine[pi]), float(fd_values[pi])
-                rel = abs(eng - fdv) / (1.0 + abs(eng) + abs(fdv))
-                worst = max(worst, rel)
-                if rel > 5e-5:
-                    fd_ok = False
-            entry["engine_confirmed_by_finite_differences"] = fd_ok
-            entry["finite_difference_rel_err"] = worst
+            eng = engine[:2]
+            rel = np.abs(eng - fd_values) / (1.0 + np.abs(eng)
+                                             + np.abs(fd_values))
+            entry["engine_confirmed_by_finite_differences"] = \
+                not (rel > 5e-5).any()
+            entry["finite_difference_rel_err"] = max(0.0, *rel.tolist())
         results.append(entry)
     matched = sum(1 for r in results if r["status"] == "match")
     return {"metric": spec.id, "seed": seed, "total": len(results),

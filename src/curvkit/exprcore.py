@@ -4,16 +4,28 @@ Expressions are immutable, hash-consed trees over named symbols with exact
 rational constants and rational exponents.  Construction always canonicalizes
 (sums and products flattened and sorted, like terms collected, trivial powers
 removed), so structural identity doubles as canonical-form equality.
+
+One walk over the DAG evaluates an expression, in two arithmetics:
+`evaluate` at 100 bits (mpmath; DomainError outside the domain) and
+`eval_float` in float64, where a symbol may be bound to an array over
+points.  It computes each node once for all points with the bits of
+Python's scalar operations: sums from 0.0, products from 1.0, powers and
+functions entry by entry through `**` and `math` (numpy's differ in the
+last bit).  An entry outside the domain is NaN, an overflow inf.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
+from types import SimpleNamespace
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import mpmath
+import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "cot", "sqrt", "exp", "log", "abs")
 
@@ -451,129 +463,123 @@ def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: one walk over the DAG, in float64 or in 100-bit arithmetic
 
 EVAL_PRECISION_BITS = 100  # well above the 80-bit contract
 
 
 def evaluate(f: Expr, binding) -> mpmath.mpf:
-    """High-precision numeric value of f under a binding of all free symbols."""
-    values = dict(binding)
+    """High-precision numeric value of f under a binding of all free
+    symbols; raises DomainError outside f's domain."""
     with mpmath.workprec(EVAL_PRECISION_BITS):
-        memo: Dict[Expr, mpmath.mpf] = {}
-        return _eval_mp(f, values, memo)
+        values = {k: mpmath.mpf(v) for k, v in dict(binding).items()}
+        return _walk(f, values, {}, _MP)
 
 
-def _eval_mp(f: Expr, values, memo):
+def eval_float(f: Expr, values: Mapping[str, object], memo: dict):
+    """Float64 value of f, each symbol bound to a float or to an array over
+    points (see the module docstring); the memo is shared by calls under
+    one binding."""
+    got = memo.get(f)
+    if got is None:
+        with np.errstate(all="ignore"):
+            got = _walk(f, values, memo, _FLOAT)
+    return got
+
+
+def _walk(f: Expr, values, memo: dict, arith):
     got = memo.get(f)
     if got is not None:
         return got
     k = f.kind
     if k == "const":
-        out = mpmath.mpf(f.value.numerator) / f.value.denominator
-    elif k == "sym":
-        if f.name not in values:
-            raise UnboundSymbolError(f.name)
-        out = mpmath.mpf(values[f.name])
-    elif k == "add":
-        out = mpmath.fsum(_eval_mp(c, values, memo) for c in f.children)
-    elif k == "mul":
-        out = mpmath.mpf(1)
-        for c in f.children:
-            out = out * _eval_mp(c, values, memo)
-    elif k == "pow":
-        b = _eval_mp(f.children[0], values, memo)
-        p = f.exponent
-        if b == 0 and p < 0:
-            raise DomainError("division by zero", f, b)
-        if b < 0 and p.denominator != 1:
-            raise DomainError("fractional power of a negative value", f, b)
-        if p.denominator == 1:
-            out = b ** p.numerator
-        else:
-            out = mpmath.power(b, mpmath.mpf(p.numerator) / p.denominator)
-    else:  # call
-        u = _eval_mp(f.children[0], values, memo)
-        fn = f.fname
-        if fn == "log":
-            if u <= 0:
-                raise DomainError("log of a non-positive value", f, u)
-            out = mpmath.log(u)
-        elif fn == "sin":
-            out = mpmath.sin(u)
-        elif fn == "cos":
-            out = mpmath.cos(u)
-        elif fn == "tan":
-            c = mpmath.cos(u)
-            if c == 0:
-                raise DomainError("tan at a pole", f, u)
-            out = mpmath.sin(u) / c
-        elif fn == "cot":
-            s = mpmath.sin(u)
-            if s == 0:
-                raise DomainError("cot at a pole", f, u)
-            out = mpmath.cos(u) / s
-        elif fn == "abs":
-            out = abs(u)
-        else:
-            out = mpmath.exp(u)
-    memo[f] = out
-    return out
-
-
-def eval_float(f: Expr, values: Mapping[str, float], memo: dict) -> float:
-    """Fast float64 evaluation sharing a memo across calls at one point."""
-    got = memo.get(f)
-    if got is not None:
-        return got
-    k = f.kind
-    if k == "const":
-        out = f.value.numerator / f.value.denominator
+        out = arith.const(f.value)
     elif k == "sym":
         try:
             out = values[f.name]
         except KeyError:
             raise UnboundSymbolError(f.name) from None
     elif k == "add":
-        out = 0.0
-        for c in f.children:
-            out += eval_float(c, values, memo)
+        out = arith.sum([_walk(c, values, memo, arith) for c in f.children])
     elif k == "mul":
-        out = 1.0
+        out = arith.one
         for c in f.children:
-            out *= eval_float(c, values, memo)
+            out *= _walk(c, values, memo, arith)
     elif k == "pow":
-        b = eval_float(f.children[0], values, memo)
-        p = f.exponent
-        if b == 0.0 and p < 0:
-            raise DomainError("division by zero", f, b)
-        if b < 0 and p.denominator != 1:
-            raise DomainError("fractional power of a negative value", f, b)
-        out = b ** p.numerator if p.denominator == 1 else b ** float(p)
+        out = arith.pow(f, _walk(f.children[0], values, memo, arith))
     else:
-        u = eval_float(f.children[0], values, memo)
-        fn = f.fname
-        if fn == "sin":
-            out = math.sin(u)
-        elif fn == "cos":
-            out = math.cos(u)
-        elif fn == "tan":
-            out = math.tan(u)
-        elif fn == "cot":
-            s = math.sin(u)
-            if s == 0.0:
-                raise DomainError("cot at a pole", f, u)
-            out = math.cos(u) / s
-        elif fn == "exp":
-            out = math.exp(u)
-        elif fn == "log":
-            if u <= 0:
-                raise DomainError("log of a non-positive value", f, u)
-            out = math.log(u)
-        else:
-            out = abs(u)
+        out = arith.call(f, _walk(f.children[0], values, memo, arith))
     memo[f] = out
     return out
+
+
+def _mp_pow(f: Expr, b):
+    p = f.exponent
+    if b == 0 and p < 0:
+        raise DomainError("division by zero", f, b)
+    if b < 0 and p.denominator != 1:
+        raise DomainError("fractional power of a negative value", f, b)
+    if p.denominator == 1:
+        return b ** p.numerator
+    return mpmath.power(b, mpmath.mpf(p.numerator) / p.denominator)
+
+
+def _mp_call(f: Expr, u):
+    if f.fname == "log" and u <= 0:
+        raise DomainError("log of a non-positive value", f, u)
+    try:
+        return _MP_FUNCTIONS[f.fname](u)
+    except ZeroDivisionError:
+        raise DomainError(f"{f.fname} at a pole", f, u) from None
+
+
+def _each(fn, u, arg):
+    """fn(x, arg) for u = x, or entry by entry over an array u."""
+    if isinstance(u, np.ndarray):
+        return np.array([fn(x, arg) for x in u.ravel().tolist()],
+                        dtype=float).reshape(u.shape)
+    return fn(float(u), arg)
+
+
+def _pow(b: float, e: float) -> float:
+    if b < 0 and not e.is_integer():
+        return math.nan             # Python would give a complex number
+    try:
+        return b ** e
+    except ZeroDivisionError:
+        return math.nan
+    except OverflowError:
+        return -math.inf if b < 0 and e % 2 else math.inf
+
+
+def _call(u: float, fn) -> float:
+    try:
+        return fn(u)
+    except (ValueError, ZeroDivisionError):
+        return math.nan
+    except OverflowError:
+        return math.inf             # only exp overflows
+
+
+_MP_FUNCTIONS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+                 "tan": lambda u: mpmath.sin(u) / mpmath.cos(u),
+                 "cot": lambda u: mpmath.cos(u) / mpmath.sin(u),
+                 "log": mpmath.log, "abs": abs}
+_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                    "tan": math.tan,
+                    "cot": lambda u: math.cos(u) / math.sin(u),
+                    "log": math.log, "abs": abs}
+# evaluate's arithmetic raises DomainError at the node; eval_float's gives
+# NaN at the entry
+_MP = SimpleNamespace(
+    one=mpmath.mpf(1), sum=mpmath.fsum, pow=_mp_pow, call=_mp_call,
+    const=lambda v: mpmath.mpf(v.numerator) / v.denominator)
+_FLOAT = SimpleNamespace(
+    one=1.0, sum=lambda terms: reduce(operator.iadd, terms, 0.0),
+    const=lambda v: v.numerator / v.denominator,
+    pow=lambda f, b: _each(_pow, b, f.exponent.numerator
+                           / f.exponent.denominator),
+    call=lambda f, u: _each(_call, u, _FLOAT_FUNCTIONS[f.fname]))
 
 
 # ---------------------------------------------------------------------------

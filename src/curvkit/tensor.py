@@ -49,18 +49,21 @@ class ComponentTensor:
         return self.data.dtype == object
 
     def evaluate(self, values, memo: Optional[dict] = None) -> "ComponentTensor":
-        """Evaluated-mode copy at a point; the memo may be shared across
-        tensors evaluated at the same point."""
+        """Evaluated-mode copy under an exprcore.eval_float binding; with
+        coordinates bound to arrays over P points, the (P, n, ..., n) stack.
+        The memo may be shared by tensors evaluated under one binding."""
         if not self.symbolic:
             return self
-        if memo is None:
-            memo = {}
-        out = np.empty(self.data.shape)
-        flat_in = self.data.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i in range(flat_in.size):
-            flat_out[i] = ec.eval_float(flat_in[i], values, memo)
-        return ComponentTensor(out, self.valence, self.dim)
+        memo = {} if memo is None else memo
+        points = max((v.shape for v in values.values()
+                      if isinstance(v, np.ndarray)), default=())
+        # x * 1.0 is x to the bit; it gives each entry the points' shape
+        ones = np.ones(points) if points else 1.0
+        entry = np.frompyfunc(
+            lambda e: ec.eval_float(e, values, memo) * ones, 1, 1)
+        out = np.array(entry(self.data).ravel().tolist())  # (N, P) or (N,)
+        return ComponentTensor(out.T.reshape(points + self.data.shape),
+                               self.valence, self.dim)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from curvkit import exprcore as ec
 from curvkit.catalog import builtin, parse_metric_source
 from curvkit.classify import (ClassifyError, StructureReport,
                               build_sample_plan, classify_metric,
-                              compare_metrics)
-from curvkit.curvature import build_bundle
+                              compare_metrics, evaluate_plan)
+from curvkit.curvature import TENSORS, build_bundle
 from curvkit.tensor import invert_metric
 
 METRIC_REGULARITY_FLOOR = 1e-3
@@ -54,6 +56,33 @@ g[1][1] = 1
 g[2][2] = r^2
 g[3][3] = r^2*sin(theta)^2
 """
+
+
+def test_sample_plan_skips_overflowing_points():
+    # exp(r) overflows float64 above r = 709.78: those candidates are
+    # rejected as not finite, and the plan keeps the first 12 others
+    spec = parse_metric_source(
+        "dim 4\ncoords t r theta phi\nrange r 700 720\n"
+        "g[0][0] = -exp(r)\ng[1][1] = 1\ng[2][2] = r^2\n"
+        "g[3][3] = r^2*sin(theta)^2\n", "overflow")
+    plan = build_sample_plan(spec)
+    assert len(plan) == 12
+    assert all(pt["r"] < 709.78 for pt in plan.points)
+
+
+@pytest.mark.parametrize("fixture", ["bardeen_classified", "rn_classified",
+                                     "schw_classified", "mink_classified"])
+def test_evaluate_plan_equals_one_point_evaluations(fixture, request):
+    # one evaluation over the point axis gives each point's own floats
+    _, bundle, report = request.getfixturevalue(fixture)
+    plan = report.plan
+    batch = evaluate_plan(bundle, plan)
+    for i, pt in enumerate(plan.points):
+        values = dict(pt, **plan.params)
+        for name in TENSORS:
+            one = bundle.tensor(name).evaluate(values).data
+            assert np.array_equal(batch.arrays[name][i], one), (name, i)
+        assert batch.kappa[i] == ec.eval_float(bundle.kappa, values, {})
 
 
 def test_sample_plan_names_unbound_parameters():

@@ -147,6 +147,34 @@ def test_classify_unbound_params_exit_1(tmp_path, capsys, params, missing):
     assert "sample points" not in err
 
 
+def write_metric(tmp_path, name, body):
+    path = tmp_path / f"{name}.metric"
+    path.write_text("dim 4\ncoords t r theta phi\n" + body
+                    + "g[2][2] = r^2\ng[3][3] = r^2*sin(theta)^2\n")
+    return str(path)
+
+
+def test_overflowing_metric_file_exits_2(tmp_path, capsys):
+    # r^1200 overflows float64 at every probe point: one error line, no
+    # traceback
+    path = write_metric(tmp_path, "huge",
+                        "range r 2 3\ng[0][0] = -1\ng[1][1] = r^1200\n")
+    assert cli.run(["classify", "--metric", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: metric 'huge' is singular or not finite at all probe points"]
+
+
+def test_sample_plan_error_counts_rejections(tmp_path, capsys):
+    # with a = 0.5, (a - r)^(1/2) is not real anywhere on r in [1, 2], so
+    # every one of the 200 * 12 candidates is rejected as not finite
+    path = write_metric(tmp_path, "imaginary", "params a\nrange r 1 2\n"
+                        "g[0][0] = -1\ng[1][1] = (a - r)^(1/2)\n")
+    assert cli.run(["classify", "--metric", path, "--param", "a=0.5"]) == 1
+    err = capsys.readouterr().err
+    assert "2400 candidates drawn, 2400 not finite" in err
+    assert "0 with a singular det, 0 with |g00| below" in err
+
+
 # ---------------------------------------------------------------------------
 # verify and compare
 

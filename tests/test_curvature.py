@@ -9,7 +9,7 @@ import curvkit.exprcore as ec
 from curvkit.catalog import builtin
 from curvkit.curvature import (build_bundle, covariant_derivative,
                                derived_curvatures)
-from curvkit.tensor import invert_metric
+from curvkit.tensor import ComponentTensor, invert_metric
 from oracles import bardeen_lapse
 
 N = 4
@@ -40,12 +40,7 @@ def sample_points(spec, count, seed=17):
 
 
 def eval_obj(arr, values):
-    memo = {}
-    out = np.empty(arr.shape)
-    flat_in, flat_out = arr.reshape(-1), out.reshape(-1)
-    for i in range(flat_in.size):
-        flat_out[i] = ec.eval_float(flat_in[i], values, memo)
-    return out
+    return ComponentTensor(arr, arr.ndim, N).evaluate(values).data
 
 
 def gmat(spec, values):

@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import curvkit.exprcore as ec
@@ -240,6 +241,32 @@ def test_property_roundtrip_and_eval(text):
     a = ec.eval_float(e, values, {})
     b = float(ec.evaluate(e, values))
     assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+
+# functions and powers that leave their domain or overflow on part of the
+# points below: zero, negative and huge arguments
+_wrap = st.sampled_from(["log({})", "({})^(1/2)", "({})^(-1)", "cot({})",
+                         "tan({})", "exp({})", "({})^3", "abs({})"])
+XS = np.array([1.375, -0.5, 0.0, 2.0, 700.0, -1e155, 3.0, 1e-200])
+YS = np.array([0.625, 2.0, -1.0, 0.0, 1e155, 0.5, -3.0, 0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(expr_text(), _wrap, _wrap, _ops, expr_text())
+def test_property_array_evaluation_is_pointwise(ta, inner, outer, op, tb):
+    try:
+        e = ec.parse_expr(f"{outer.format(inner.format(ta))} {op} {tb}",
+                          {"x", "y"})
+    except ec.ParseError:
+        assume(False)   # a constant zero to a negative power
+    scalars = [ec.eval_float(e, {"x": x, "y": y}, {})
+               for x, y in zip(XS.tolist(), YS.tolist())]
+    assert all(type(v) is float for v in scalars)
+    want = np.array(scalars)
+    got = np.broadcast_to(ec.eval_float(e, {"x": XS, "y": YS}, {}), XS.shape)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
 @settings(max_examples=40, deadline=None)
