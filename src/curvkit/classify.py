@@ -9,6 +9,11 @@ relation defining the structure is fitted pointwise (scalar coefficients or
     fails       residual > tol at some non-degenerate point,
     degenerate  the defining basis vanishes or is rank-deficient everywhere.
 
+A fit is stacked over the points: one design with the unknowns on its last
+axis (one builder, _design, serves every 1-form relation), one svd call for
+all points, and lstsq point by point.  A value in a fit that is not finite
+is an error, never a verdict.
+
 Fitted coefficients are additionally compared against known closed forms
 where available; mismatches are logged as discrepancies, never silently
 dropped.
@@ -242,48 +247,93 @@ def _permute(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fitting primitives
+# fitting primitives: each point's system is A c ~ b with the unknowns on
+# the last axis of the design; one stacked svd serves every point
 
-def _lstsq_point(target: np.ndarray, columns: Sequence[np.ndarray]):
-    """Least squares at one point.
-
-    Returns (coefficients or None, residual or None, degenerate flag)."""
-    A = np.stack([c.ravel() for c in columns], axis=1)
-    b = target.ravel()
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0:
-        return None, None, True
-    gram_cond = (sv[0] / sv[-1]) ** 2 if sv[-1] > 0 else np.inf
-    if gram_cond > GRAM_CONDITION_LIMIT:
-        return None, None, True
-    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = np.abs(b - A @ coef).max() / (1.0 + np.abs(target).max())
-    return [float(c) for c in coef], float(resid), False
+def _require_finite(relation: str, *arrays: np.ndarray):
+    """A verdict must not rest on an overflow or a NaN: ClassifyError at the
+    first point where an array has an entry that is not finite.  Per-point
+    min and max find one without a temporary the size of the array."""
+    ok = np.ones(len(arrays[0]), dtype=bool)
+    for a in arrays:
+        axes = tuple(range(1, a.ndim))
+        ok &= np.isfinite(a.min(axis=axes)) & np.isfinite(a.max(axis=axes))
+    if not ok.all():
+        raise ClassifyError(f"cannot decide {relation}: not finite (an "
+                            f"overflow or a NaN) at sample point "
+                            f"{np.argmin(ok)}")
 
 
-def _assemble(relation: str, per_point, tol: float) -> CoefficientFit:
-    """per_point: list of (coef, resid, degenerate)."""
-    fit = CoefficientFit(relation=relation, verdict="degenerate")
-    worst = None
-    any_ok = False
-    for i, (coef, resid, deg) in enumerate(per_point):
-        fit.coefficients.append(coef)
-        fit.residuals.append(resid)
-        if deg:
-            fit.degenerate_points.append(i)
-            continue
-        any_ok = True
-        if worst is None or resid > worst[1]:
-            worst = (i, resid)
-    if not any_ok:
+def _svd(relation: str, a: np.ndarray) -> np.ndarray:
+    """Singular values of every point's matrix, one stacked call."""
+    _require_finite(relation, a)
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def _conditioned(sv: np.ndarray) -> np.ndarray:
+    """Points whose Gram matrix A^T A is well enough conditioned to fit."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (sv[:, -1] > 0) & ((sv[:, 0] / sv[:, -1]) ** 2
+                                  <= GRAM_CONDITION_LIMIT)
+
+
+def _nullity(sv: np.ndarray) -> np.ndarray:
+    """Dimension of each point's numerical nullspace; -1 where the map
+    itself vanishes."""
+    return np.where(sv[:, 0] == 0.0, -1,
+                    (sv < NULLSPACE_CUTOFF * sv[:, :1]).sum(axis=1))
+
+
+def _system(relation: str, target: np.ndarray, design: np.ndarray):
+    """Each point's system: A (P, m, k), b (P, m) and A's singular values."""
+    P = len(target)
+    A, b = design.reshape(P, -1, design.shape[-1]), target.reshape(P, -1)
+    _require_finite(relation, b)
+    return A, b, _svd(relation, A)
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray, live: np.ndarray):
+    """Coefficients (P, k) and residuals (P,) of the least-squares fit at
+    the live points, zero elsewhere.  lstsq runs point by point: a batched
+    solve differs from it in the last bits."""
+    coefs, resid = np.zeros((len(A), A.shape[-1])), np.zeros(len(A))
+    for i in np.flatnonzero(live):
+        coefs[i] = np.linalg.lstsq(A[i], b[i], rcond=None)[0]
+        resid[i] = (np.abs(b[i] - A[i] @ coefs[i]).max()
+                    / (1.0 + np.abs(b[i]).max()))
+    return coefs, resid
+
+
+def _assemble(relation: str, coefs: np.ndarray, resid: np.ndarray,
+              degenerate: np.ndarray, tol: float) -> CoefficientFit:
+    """One verdict from the per-point coefficients (P, k), residuals (P,)
+    and degenerate mask."""
+    _require_finite(relation, resid)
+    fit = CoefficientFit(relation=relation, verdict="degenerate",
+                         degenerate_points=np.flatnonzero(degenerate).tolist())
+    fit.coefficients = [None if d else c
+                        for c, d in zip(coefs.tolist(), degenerate)]
+    fit.residuals = [None if d else r
+                     for r, d in zip(resid.tolist(), degenerate)]
+    if degenerate.all():
         return fit
-    fit.residual = worst[1]
-    if worst[1] <= tol:
+    worst = int(np.argmax(np.where(degenerate, -1.0, resid)))
+    fit.residual = fit.residuals[worst]
+    if fit.residual <= tol:
         fit.verdict = "holds"
     else:
         fit.verdict = "fails"
-        fit.witness = {"point_index": worst[0], "residual": worst[1]}
+        fit.witness = {"point_index": worst, "residual": fit.residual}
     return fit
+
+
+def _fit(relation: str, target: np.ndarray, design: np.ndarray,
+         tol: float) -> CoefficientFit:
+    """target ~ design @ c with c fitted at each point; degenerate where
+    the design vanishes or is ill conditioned."""
+    A, b, sv = _system(relation, target, design)
+    live = _conditioned(sv)
+    return _assemble(relation, *_lstsq(A, b, live), ~live, tol)
 
 
 def fit_scalar_relation(relation: str, target: np.ndarray,
@@ -291,91 +341,48 @@ def fit_scalar_relation(relation: str, target: np.ndarray,
                         tol: float) -> CoefficientFit:
     """target ~ sum_k c_k columns[k] with scalar c_k fitted at each point;
     the arrays' leading axis is the point."""
-    rows = [_lstsq_point(target[i], [c[i] for c in columns])
-            for i in range(len(target))]
-    return _assemble(relation, rows, tol)
+    return _fit(relation, target, np.stack(columns, axis=-1), tol)
 
 
 def direct_test(relation: str, deviation: np.ndarray, scale: np.ndarray,
                 tol: float) -> CoefficientFit:
     """Equality test: deviation must vanish relative to a natural scale,
     one entry of scale per point."""
-    rows = []
-    for dev, sc in zip(_amax(deviation), scale):
-        degenerate = sc <= tol and dev <= tol
-        rows.append((None, None, True) if degenerate
-                    else ([], dev / (1.0 + sc), False))
-    return _assemble(relation, rows, tol)
+    dev = _amax(deviation)
+    _require_finite(relation, dev, scale)
+    return _assemble(relation, np.zeros((len(dev), 0)), dev / (1.0 + scale),
+                     (scale <= tol) & (dev <= tol), tol)
 
 
-# ---------------------------------------------------------------------------
-# column builders for 1-form unknowns (unknown A enters as n columns); the
-# tensors may carry leading point axes
+def _design(forms) -> np.ndarray:
+    """Design of a relation linear in unknown 1-forms, one form per 1-form:
+    (P, n, ..., n, k) with component u of form f at column f*n + u.  A form
+    is a list of terms (w, D, s), each adding w A_u D with A's index in
+    slot s and the (P, n, ..., n) tensor D over the other slots in order.
+    A lone term is copied (a signed zero keeps its sign); several terms
+    are summed from zero in order."""
+    D0 = forms[0][0][1]
+    P, n = D0.shape[0], D0.shape[-1]
+    out = np.zeros((P,) + (n,) * D0.ndim + (n * len(forms),))
+    for f, terms in enumerate(forms):
+        for u in range(n):
+            for w, D, s in terms:
+                at = out[(slice(None),) * (s + 1) + (u, ..., f * n + u)]
+                at[...] = w * D if len(terms) == 1 else at + w * D
+    return out
 
-def _outer_cols(D: np.ndarray, n: int) -> List[np.ndarray]:
-    """Columns for nabla(target) = A (x) D with the derivative slot last."""
-    cols = []
-    for u in range(n):
-        c = np.zeros(D.shape + (n,))
-        c[..., u] = D
-        cols.append(c)
-    return cols
+
+def _cyclic_design(D: np.ndarray) -> np.ndarray:
+    """out[a,b,c,x,y] = A_a D[b,c,x,y] + A_b D[c,a,x,y] + A_c D[a,b,x,y]."""
+    return _design([[(1, D, 0), (1, _permute(D, (1, 0, 2, 3)), 1),
+                     (1, D, 2)]])
 
 
 def _cyc5(nab: np.ndarray) -> np.ndarray:
     """Cyclic sum over (derivative slot, first two slots) of a (0,5) tensor
     stored derivative-last: out[a,b,c,x,y] = nab[b,c,x,y,a] + cyclic."""
-    X = np.transpose(nab, (4, 0, 1, 2, 3))
-    return X + np.transpose(X, (1, 2, 0, 3, 4)) + np.transpose(X, (2, 0, 1, 3, 4))
-
-
-def _cyc_cols(D: np.ndarray, n: int) -> List[np.ndarray]:
-    """Columns of A for the cyclic relation: out[a,b,c,x,y] =
-    A_a D[b,c,x,y] + A_b D[c,a,x,y] + A_c D[a,b,x,y]."""
-    cols = []
-    for u in range(n):
-        c = np.zeros((n,) * 5)
-        c[u, :, :, :, :] += D
-        c[:, u, :, :, :] += np.einsum("caxy->acxy", D)
-        c[:, :, u, :, :] += D
-        cols.append(c)
-    return cols
-
-
-def _weak_symmetry_cols(R: np.ndarray, n: int) -> List[np.ndarray]:
-    """Five unknown 1-forms weighting R in the derivative slot and the four
-    curvature slots."""
-    patterns = []
-    for pos in range(5):
-        for u in range(n):
-            c = np.zeros(R.shape + (n,))
-            if pos == 0:
-                c[..., u] = R
-            elif pos == 1:
-                c[..., u, :, :, :, :] = _permute(R, (1, 2, 3, 0))
-            elif pos == 2:
-                c[..., :, u, :, :, :] = _permute(R, (0, 2, 3, 1))
-            elif pos == 3:
-                c[..., :, :, u, :, :] = _permute(R, (0, 1, 3, 2))
-            else:
-                c[..., :, :, :, u, :] = R
-            patterns.append(c)
-    return patterns
-
-
-def _chaki_cols(R: np.ndarray, n: int) -> List[np.ndarray]:
-    """Single 1-form with the slot weights doubled relative to the
-    derivative weight."""
-    cols = []
-    for u in range(n):
-        c = np.zeros(R.shape + (n,))
-        c[..., u] += R
-        c[..., u, :, :, :, :] += 2 * _permute(R, (1, 2, 3, 0))
-        c[..., :, u, :, :, :] += 2 * _permute(R, (0, 2, 3, 1))
-        c[..., :, :, u, :, :] += 2 * _permute(R, (0, 1, 3, 2))
-        c[..., :, :, :, u, :] += 2 * R
-        cols.append(c)
-    return cols
+    X = _permute(nab, (4, 0, 1, 2, 3))
+    return X + _permute(X, (1, 2, 0, 3, 4)) + _permute(X, (2, 0, 1, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -422,50 +429,36 @@ def classify_pseudosymmetries(batch: PointBatch, tol: float,
 
 def classify_einstein(batch: PointBatch, tol: float,
                       report: StructureReport):
-    n = batch.n
+    n, P = batch.n, len(batch.kappa)
     g, S = batch.arrays["g"], batch.arrays["S"]
     # S = 0 satisfies S = (kappa/n) g with kappa = 0, so Ricci-flat space
     # is (trivially) Einstein rather than degenerate
     dev = _amax(S - (batch.kappa / n)[:, None, None] * g)
-    report.add(_assemble("einstein",
-                         [([], d / (1.0 + s), False)
-                          for d, s in zip(dev, _amax(S))], tol))
+    report.add(_assemble("einstein", np.zeros((P, 0)), dev / (1.0 + _amax(S)),
+                         np.zeros(P, dtype=bool), tol))
 
-    # quasi-Einstein family: minimal rank of S - alpha g over eigenvalues
-    # alpha of the Ricci operator; degenerate where S itself vanishes
-    min_ranks: List[Optional[int]] = []
-    for i in range(len(S)):
-        if np.abs(S[i]).max() <= tol:
-            min_ranks.append(None)
-            continue
-        evals = np.linalg.eigvals(batch.J[i])
-        scale = max(np.abs(evals).max(), 1e-30)
-        best = n
-        for al in evals:
-            if abs(al.imag) > 1e-8 * scale:
-                continue
-            sv = np.linalg.svd(S[i] - al.real * g[i], compute_uv=False)
-            rank = int((sv > RANK_CUTOFF * max(sv[0], 1e-30)).sum())
-            best = min(best, rank)
-        min_ranks.append(best)
-    for target_rank in (1, 2, 3):
-        name = {1: "quasi_einstein", 2: "two_quasi_einstein",
-                3: "three_quasi_einstein"}[target_rank]
-        live = [r for r in min_ranks if r is not None]
-        if not live:
-            fit = CoefficientFit(relation=name, verdict="degenerate")
-        else:
-            ok = all(r == target_rank for r in live)
-            fit = CoefficientFit(relation=name,
-                                 verdict="holds" if ok else "fails")
-            if not ok:
-                bad = next(i for i, r in enumerate(min_ranks)
-                           if r is not None and r != target_rank)
-                fit.witness = {"point_index": bad, "rank": min_ranks[bad]}
-        fit.degenerate_points = [i for i, r in enumerate(min_ranks)
-                                 if r is None]
-        fit.extra["min_rank_per_point"] = [
-            -1 if r is None else r for r in min_ranks]
+    # quasi-Einstein family: minimal rank of S - alpha g over the real
+    # eigenvalues alpha of the Ricci operator; -1 where S itself vanishes
+    _require_finite("quasi_einstein", batch.J)
+    evals = np.linalg.eigvals(batch.J)
+    scale = np.maximum(np.abs(evals).max(axis=1), 1e-30)
+    sv = _svd("quasi_einstein",
+              S[:, None] - evals.real[..., None, None] * g[:, None])
+    rank = (sv > RANK_CUTOFF * np.maximum(sv[..., :1], 1e-30)).sum(axis=-1)
+    real = np.abs(evals.imag) <= 1e-8 * scale[:, None]
+    live = _amax(S) > tol
+    min_rank = np.where(live, np.where(real, rank, n).min(axis=1), -1)
+    for target_rank, name in enumerate(("quasi_einstein", "two_quasi_einstein",
+                                        "three_quasi_einstein"), start=1):
+        fit = CoefficientFit(relation=name, verdict="degenerate",
+                             degenerate_points=np.flatnonzero(~live).tolist())
+        off = np.flatnonzero(live & (min_rank != target_rank))
+        if live.any():
+            fit.verdict = "fails" if off.size else "holds"
+        if off.size:
+            fit.witness = {"point_index": int(off[0]),
+                           "rank": int(min_rank[off[0]])}
+        fit.extra["min_rank_per_point"] = min_rank.tolist()
         report.add(fit)
 
     # Einstein levels: minimal polynomial of the Ricci operator, expressed
@@ -491,7 +484,7 @@ def classify_roter(batch: PointBatch, tol: float, report: StructureReport):
 
 def classify_recurrence(batch: PointBatch, tol: float,
                         report: StructureReport):
-    n = batch.n
+    # nabla R = sum over the bases of A (x) basis, derivative slot last
     R, nabla_R = batch.arrays["R"], batch.arrays["nabla_R"]
     gg, gS = _wedge(batch, "g", "g"), _wedge(batch, "g", "S")
     Sg, SS = _wedge(batch, "S", "g"), _wedge(batch, "S", "S")
@@ -500,46 +493,28 @@ def classify_recurrence(batch: PointBatch, tol: float,
                         ("hyper_generalized_recurrent", [R, Sg]),
                         ("super_generalized_recurrent", [R, gg, Sg, SS]),
                         ("special_metric_ricci_wedge_recurrent", [gS])):
-        cols = [c for b in bases for c in _outer_cols(b, n)]
-        report.add(fit_scalar_relation(name, nabla_R, cols, tol))
-
-
-def _nullspace_dim(columns: List[np.ndarray]) -> Optional[int]:
-    A = np.stack([c.ravel() for c in columns], axis=1)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0:
-        return None  # the map itself vanishes: degenerate
-    return int((sv < NULLSPACE_CUTOFF * sv[0]).sum())
+        report.add(_fit(name, nabla_R,
+                        _design([[(1, b, 4)] for b in bases]), tol))
 
 
 def classify_form_recurrence(batch: PointBatch, tol: float,
                              report: StructureReport):
-    n = batch.n
     for name, dkey, nkey in (("riemann_two_forms_recurrent", "R", "nabla_R"),
                              ("conformal_two_forms_recurrent", "C",
                               "nabla_C")):
-        rows = []
-        trivial_lhs = []
-        for D, nab in zip(batch.arrays[dkey], batch.arrays[nkey]):
-            lhs = _cyc5(nab)
-            scale = np.abs(nab).max()
-            if np.abs(D).max() <= tol:
-                rows.append((None, None, True))
-                trivial_lhs.append(False)
-                continue
-            if np.abs(lhs).max() <= tol * (1.0 + scale):
-                # the cyclic sum vanishes identically; recurrence then
-                # requires a nonzero 1-form annihilating the cyclic map
-                dim = _nullspace_dim(_cyc_cols(D, n))
-                ok = dim is not None and dim >= 1
-                rows.append(([0.0] * n, 0.0 if ok else 1.0, False))
-                trivial_lhs.append(True)
-                continue
-            rows.append(_lstsq_point(lhs, _cyc_cols(D, n)))
-            trivial_lhs.append(False)
-        fit = _assemble(name, rows, tol)
-        if any(trivial_lhs):
-            fit.extra["cyclic_sum_vanishes"] = trivial_lhs
+        D, nab = batch.arrays[dkey], batch.arrays[nkey]
+        lhs = _cyc5(nab)
+        A, b, sv = _system(name, lhs, _cyclic_design(D))
+        vanishing = _amax(D) <= tol
+        # where the cyclic sum vanishes identically, recurrence requires a
+        # nonzero 1-form annihilating the cyclic map
+        trivial = ~vanishing & (_amax(lhs) <= tol * (1.0 + _amax(nab)))
+        live = ~vanishing & ~trivial & _conditioned(sv)
+        coefs, resid = _lstsq(A, b, live)
+        resid[trivial] = np.where(_nullity(sv) >= 1, 0.0, 1.0)[trivial]
+        fit = _assemble(name, coefs, resid, ~live & ~trivial, tol)
+        if trivial.any():
+            fit.extra["cyclic_sum_vanishes"] = trivial.tolist()
         report.add(fit)
 
     # recurrence of the 1-forms attached to the Ricci tensor, in both the
@@ -547,20 +522,10 @@ def classify_form_recurrence(batch: PointBatch, tol: float,
     S = batch.arrays["S"]
     nab = batch.arrays["nabla_S"]  # nab[i,j,f] = (nabla_f S)_{ij}
     target = _permute(nab, (2, 0, 1)) - _permute(nab, (0, 2, 1))
-    cols_two = []
-    for u in range(n):
-        c = np.zeros(S.shape[:-2] + (n,) * 3)
-        c[..., u, :, :] = S
-        cols_two.append(c)
-    for u in range(n):
-        c = np.zeros(S.shape[:-2] + (n,) * 3)
-        c[..., :, u, :] = -S
-        cols_two.append(c)
-    cols_one = [cols_two[u] + cols_two[n + u] for u in range(n)]
-    report.add(fit_scalar_relation("ricci_one_forms_recurrent", target,
-                                   cols_two, tol))
-    report.add(fit_scalar_relation("ricci_one_forms_recurrent_single",
-                                   target, cols_one, tol))
+    report.add(_fit("ricci_one_forms_recurrent", target,
+                    _design([[(1, S, 0)], [(-1, S, 1)]]), tol))
+    report.add(_fit("ricci_one_forms_recurrent_single", target,
+                    _design([[(1, S, 0), (-1, S, 1)]]), tol))
 
 
 def classify_ricci_properties(batch: PointBatch, tol: float,
@@ -589,25 +554,28 @@ def classify_ricci_properties(batch: PointBatch, tol: float,
 
 def classify_symmetry_forms(batch: PointBatch, tol: float,
                             report: StructureReport):
-    n = batch.n
+    # nabla_x R_abcd with 1-forms weighting R in the derivative slot (4)
+    # and in each curvature slot
     R, nabla_R = batch.arrays["R"], batch.arrays["nabla_R"]
-    report.add(fit_scalar_relation("weakly_symmetric", nabla_R,
-                                   _weak_symmetry_cols(R, n), tol))
-    report.add(fit_scalar_relation("chaki_pseudosymmetric", nabla_R,
-                                   _chaki_cols(R, n), tol))
+    slots = [(R, 4), (_permute(R, (1, 2, 3, 0)), 0),
+             (_permute(R, (0, 2, 3, 1)), 1), (_permute(R, (0, 1, 3, 2)), 2),
+             (R, 3)]
+    report.add(_fit("weakly_symmetric", nabla_R,
+                    _design([[(1, D, s)] for D, s in slots]), tol))
+    # a single 1-form, the slot weights doubled against the derivative's
+    report.add(_fit("chaki_pseudosymmetric", nabla_R,
+                    _design([[(1 if s == 4 else 2, D, s)
+                              for D, s in slots]]), tol))
     for dname, dkey in (("riemann", "R"), ("weyl", "C"),
                         ("projective", "P"), ("concircular", "W"),
                         ("conharmonic", "K")):
-        dims = [_nullspace_dim(_cyc_cols(D, n)) for D in batch.arrays[dkey]]
-        if all(d is None for d in dims):
-            verdict = "degenerate"
-        elif all(d is not None and d >= 1 for d in dims):
-            verdict = "holds"
-        else:
-            verdict = "fails"
-        fit = CoefficientFit(relation=f"venzi_{dname}", verdict=verdict)
-        fit.extra["nullspace_dim_per_point"] = [
-            -1 if d is None else d for d in dims]
+        A = _cyclic_design(batch.arrays[dkey])
+        dims = _nullity(_svd(f"venzi_{dname}",
+                             A.reshape(len(A), -1, A.shape[-1])))
+        fit = CoefficientFit(relation=f"venzi_{dname}", verdict=(
+            "degenerate" if (dims == -1).all()
+            else "holds" if (dims >= 1).all() else "fails"))
+        fit.extra["nullspace_dim_per_point"] = dims.tolist()
         report.add(fit)
 
 
@@ -705,15 +673,17 @@ def classify_metric(spec: MetricSpec, bundle: CurvatureBundle,
     plan = build_sample_plan(spec, params, count, seed)
     batch = evaluate_plan(bundle, plan)
     report = StructureReport(metric_id=spec.id, plan=plan, tol=tol)
-    classify_pseudosymmetries(batch, tol, report)
-    classify_einstein(batch, tol, report)
-    classify_roter(batch, tol, report)
-    classify_recurrence(batch, tol, report)
-    classify_form_recurrence(batch, tol, report)
-    classify_ricci_properties(batch, tol, report)
-    classify_symmetry_forms(batch, tol, report)
-    classify_stress_pseudosymmetry(batch, tol, report)
-    classify_scalars(batch, tol, report)
+    # a product that overflows is reported by the fits' finite checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        classify_pseudosymmetries(batch, tol, report)
+        classify_einstein(batch, tol, report)
+        classify_roter(batch, tol, report)
+        classify_recurrence(batch, tol, report)
+        classify_form_recurrence(batch, tol, report)
+        classify_ricci_properties(batch, tol, report)
+        classify_symmetry_forms(batch, tol, report)
+        classify_stress_pseudosymmetry(batch, tol, report)
+        classify_scalars(batch, tol, report)
     if reference_forms:
         verify_reference_coefficients(report, spec, reference_forms)
     return report

@@ -1,15 +1,18 @@
 """Structure classification: determinism, soundness, and controls."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from curvkit import classify as cl
 from curvkit import exprcore as ec
 from curvkit.catalog import builtin, parse_metric_source
 from curvkit.classify import (ClassifyError, StructureReport,
                               build_sample_plan, classify_metric,
-                              compare_metrics, evaluate_plan)
+                              compare_metrics, direct_test, evaluate_plan,
+                              fit_scalar_relation)
 from curvkit.curvature import TENSORS, build_bundle
 from curvkit.tensor import invert_metric
 
@@ -95,6 +98,123 @@ def test_sample_plan_names_unbound_parameters():
         build_sample_plan(spec, {"M": 1.0})
     plan = build_sample_plan(spec, {"M": 1.0, "e": 0.5})
     assert plan.params == {"M": 1.0, "e": 0.5}
+
+
+# ---------------------------------------------------------------------------
+# fits
+
+def _loop(P, valence, entry):
+    """A relation as plain index loops: out[p, i...] = entry(p, i...)."""
+    out = np.zeros((P,) + (4,) * valence)
+    for p in range(P):
+        for idx in itertools.product(range(4), repeat=valence):
+            out[(p,) + idx] = entry(p, *idx)
+    return out
+
+
+def test_designs_equal_their_relations_as_index_loops(bardeen_classified,
+                                                      monkeypatch):
+    # every 1-form design, applied to random 1-forms, gives its relation
+    spec, bundle, _ = bardeen_classified
+    batch = evaluate_plan(bundle, build_sample_plan(spec, count=4))
+    designs = {}
+    system = cl._system
+
+    def spy(relation, target, design):
+        designs[relation] = design
+        return system(relation, target, design)
+
+    monkeypatch.setattr(cl, "_system", spy)
+    report = StructureReport("bardeen", None, 1e-9)
+    for group in (cl.classify_recurrence, cl.classify_form_recurrence,
+                  cl.classify_symmetry_forms):
+        group(batch, 1e-9, report)
+
+    R, C, S = (batch.arrays[k] for k in ("R", "C", "S"))
+    gg, gS, Sg, SS = (cl._wedge(batch, *pair) for pair in
+                      ("gg", "gS", "Sg", "SS"))
+
+    def recurrence(*bases):
+        return 5, lambda A, p, a, b, c, d, x: sum(
+            A[j][p, x] * B[p, a, b, c, d] for j, B in enumerate(bases))
+
+    def cyclic(D):
+        return 5, lambda A, p, a, b, c, x, y: (
+            A[0][p, a] * D[p, b, c, x, y] + A[0][p, b] * D[p, c, a, x, y]
+            + A[0][p, c] * D[p, a, b, x, y])
+
+    def slots(A, p, a, b, c, d, x):
+        # R with x in the derivative slot, then in each curvature slot
+        return (A[0][p, x] * R[p, a, b, c, d], A[1][p, a] * R[p, x, b, c, d],
+                A[2][p, b] * R[p, a, x, c, d], A[3][p, c] * R[p, a, b, x, d],
+                A[4][p, d] * R[p, a, b, c, x])
+
+    def chaki(A, *i):
+        # one 1-form, the slot terms doubled against the derivative's
+        t = slots([A[0]] * 5, *i)
+        return t[0] + 2 * sum(t[1:])
+
+    relations = {
+        "recurrent": recurrence(R),
+        "weakly_generalized_recurrent": recurrence(R, SS),
+        "hyper_generalized_recurrent": recurrence(R, Sg),
+        "super_generalized_recurrent": recurrence(R, gg, Sg, SS),
+        "special_metric_ricci_wedge_recurrent": recurrence(gS),
+        "riemann_two_forms_recurrent": cyclic(R),
+        "conformal_two_forms_recurrent": cyclic(C),
+        "weakly_symmetric": (5, lambda A, *i: sum(slots(A, *i))),
+        "chaki_pseudosymmetric": (5, chaki),
+        "ricci_one_forms_recurrent": (3, lambda A, p, a, b, x: (
+            A[0][p, a] * S[p, b, x] - A[1][p, b] * S[p, a, x])),
+        "ricci_one_forms_recurrent_single": (3, lambda A, p, a, b, x: (
+            A[0][p, a] * S[p, b, x] - A[0][p, b] * S[p, a, x])),
+    }
+    assert set(designs) == set(relations)
+    rng = np.random.default_rng(3)
+    for name, (valence, entry) in relations.items():
+        design = designs[name]
+        assert design.shape == (4,) + (4,) * valence + design.shape[-1:]
+        c = rng.normal(size=(4, design.shape[-1]))
+        forms = [c[:, k:k + 4] for k in range(0, c.shape[1], 4)]
+        want = _loop(4, valence, lambda *i: entry(forms, *i))
+        have = np.einsum("p...k,pk->p...", design, c)
+        assert np.allclose(have, want, rtol=1e-13,
+                           atol=1e-13 * np.abs(want).max()), name
+
+
+def test_fits_do_not_depend_on_the_batch_size(bardeen_classified):
+    # the first 12 points of a 48-point plan are the 12-point plan, and each
+    # point's fit is the same bit for bit
+    spec, bundle, small = bardeen_classified
+    big = classify_metric(spec, bundle, count=48)
+    assert big.plan.points[:12] == small.plan.points
+    assert set(big.structures) == set(small.structures)
+    for name, fit in small.structures.items():
+        other = big.structures[name]
+        assert other.coefficients[:12] == fit.coefficients, name
+        assert other.residuals[:12] == fit.residuals, name
+        assert [i for i in other.degenerate_points if i < 12] \
+            == fit.degenerate_points, name
+        for key, values in fit.extra.items():
+            assert other.extra[key][:12] == values, (name, key)
+
+
+def test_fits_reject_values_that_are_not_finite():
+    # an overflow in a fit's inputs fails it at the first such point,
+    # rather than an SVD error or a verdict resting on inf or NaN
+    rng = np.random.default_rng(0)
+    target, column = rng.normal(size=(2, 5, 4, 4))
+    column[3, 1, 2] = np.inf
+    with pytest.raises(ClassifyError, match="cannot decide f: .* point 3$"):
+        fit_scalar_relation("f", target, [column], 1e-9)
+    column[3, 1, 2], target[2, 0, 0] = 1.0, np.nan
+    with pytest.raises(ClassifyError, match="cannot decide f: .* point 2$"):
+        fit_scalar_relation("f", target, [column], 1e-9)
+    # a finite deviation against an infinite scale is no evidence
+    scale = np.ones(5)
+    scale[4] = np.inf
+    with pytest.raises(ClassifyError, match="cannot decide d: .* point 4$"):
+        direct_test("d", np.zeros((5, 4, 4)), scale, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,23 @@ def test_sample_plan_error_counts_rejections(tmp_path, capsys):
     assert "0 with a singular det, 0 with |g00| below" in err
 
 
+@pytest.mark.parametrize("components, point", [
+    # det = -1, but Q(g, R) meets inf - inf
+    ("-r^150 r^150 r^(-150) r^(-150)", 1),
+    # every entry is finite, det = -r^800 overflows
+    ("-r^200 r^200 r^200 r^200", 0)])
+def test_overflowing_fit_exits_1(tmp_path, capsys, components, point):
+    # one error line naming the structure and the point, not an SVD
+    # traceback or a verdict resting on a NaN
+    path = tmp_path / "steep.metric"
+    path.write_text("dim 4\ncoords t r theta phi\nrange r 10 20\n" + "".join(
+        f"g[{i}][{i}] = {e}\n" for i, e in enumerate(components.split())))
+    assert cli.run(["classify", "--metric", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot decide semisymmetric: not finite (an overflow or a "
+        f"NaN) at sample point {point}"]
+
+
 # ---------------------------------------------------------------------------
 # verify and compare
 
