@@ -80,10 +80,11 @@ def _cmd_components(args) -> int:
         except KeyError as exc:
             raise UsageError(str(exc).strip('"'))
         comps = {}
+        memo = {}   # one printer memo for the dump: entries share subtrees
         for idx in itertools.product(range(t.dim), repeat=t.valence):
             e = t.data[idx]
             if not e.is_zero():
-                comps["".join(str(i) for i in idx)] = ec.to_string(e)
+                comps["".join(str(i) for i in idx)] = ec.to_string(e, memo)
         payload = {"metric": spec.id, "tensor": name,
                    "dimension": t.dim, "valence": t.valence,
                    "nonzero_components": comps}

@@ -93,18 +93,28 @@ def derived_curvatures(R: ComponentTensor, S: ComponentTensor, kappa,
 def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
                          coords: Sequence[str]) -> ComponentTensor:
     """(0,k+1) tensor with the derivative index appended last:
-    out[a..., f] = d_f T_{a...} - sum over slots of Gamma contraction."""
+    out[a..., f] = d_f T_{a...} - sum over slots of Gamma contraction.
+
+    Each entry collects its terms first, d_f T and every -(T_{..u..}
+    Gamma^u_fc) built as neg(mul(T, Gamma)), and is summed by one `add`:
+    a sum is the same node in any order or grouping, so this equals
+    subtracting the terms one at a time, without re-collecting the growing
+    sum at every step.  Zero Gamma and T entries give no term."""
     k = T.valence
-    out = partials(T.data, coords)
-    # Gamma^u_fc T_{..u..} is subtracted from every out[..c.., f], one
-    # slot at a time; zero Gamma entries are skipped, as most are zero
+    terms = np.frompyfunc(lambda d: [d], 1, 1)(partials(T.data, coords))
     for (u, f, c), gterm in np.ndenumerate(gamma):
         if gterm.is_zero():
             continue
         for s in range(k):
             pre = (slice(None),) * s
             post = (slice(None),) * (k - 1 - s)
-            out[pre + (c,) + post + (f,)] -= T.data[pre + (u,) + post] * gterm
+            # slices of length one keep both sides arrays, also for k = 1
+            dst = terms[pre + (slice(c, c + 1),) + post + (slice(f, f + 1),)]
+            src = T.data[pre + (slice(u, u + 1),) + post]
+            for acc, t in zip(dst.flat, src.flat):
+                if not t.is_zero():
+                    acc.append(ec.neg(ec.mul(t, gterm)))
+    out = np.frompyfunc(lambda ts: ec.add(*ts), 1, 1)(terms)
     return ComponentTensor(out, k + 1, T.dim)
 
 

@@ -71,7 +71,7 @@ class Expr:
     factory functions (const, sym, add, mul, powr, call, div)."""
 
     __slots__ = ("kind", "value", "name", "fname", "exponent", "children",
-                 "_key", "_hash", "_free")
+                 "_key", "_free")
 
     def __init__(self, kind, value=None, name=None, fname=None,
                  exponent=None, children=()):
@@ -82,19 +82,14 @@ class Expr:
         self.exponent = exponent    # Fraction, for pow nodes
         self.children = children    # tuple of Expr
         self._key = None
-        self._hash = None
         self._free = None
 
-    # interned nodes: structural equality is identity
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.sort_key())
-        return self._hash
+    # nodes are interned, so structural equality is identity: Expr keeps
+    # object's own __eq__ and __hash__
 
     def sort_key(self):
+        """Total order of canonical sums and products (the whole subtree,
+        cached per node); interning does not use it."""
         if self._key is None:
             k = self.kind
             if k == "const":
@@ -169,12 +164,16 @@ _CONSTS: Dict[object, Expr] = {}
 _DIFF_MEMO: Dict[str, Dict[Expr, Expr]] = {}
 
 
-def _intern(node: Expr) -> Expr:
-    key = node.sort_key()
+def _intern(kind, value=None, name=None, fname=None, exponent=None,
+            children=()) -> Expr:
+    """The one node with these fields.  Children are interned, so the key
+    holds them by identity: keying and hashing cost one step per child,
+    not a walk over the subtree."""
+    key = (kind, value, name, fname, exponent, children)
     got = _INTERN.get(key)
     if got is None:
-        _INTERN[key] = node
-        return node
+        got = _INTERN[key] = Expr(kind, value, name, fname, exponent,
+                                  children)
     return got
 
 
@@ -196,12 +195,12 @@ def const(v) -> Expr:
     """Exact rational constant."""
     got = _CONSTS.get(v)
     if got is None:
-        got = _CONSTS[v] = _intern(Expr("const", value=Fraction(v)))
+        got = _CONSTS[v] = _intern("const", value=Fraction(v))
     return got
 
 
 def sym(name: str) -> Expr:
-    return _intern(Expr("sym", name=name))
+    return _intern("sym", name=name)
 
 
 def _nth_root_exact(k: int, n: int) -> Optional[int]:
@@ -256,7 +255,7 @@ def powr(base: Expr, exp) -> Expr:
         return powr(inner, a * exp)
     if base.kind == "mul" and exp.denominator == 1:
         return mul(*[powr(c, exp) for c in base.children])
-    return _intern(Expr("pow", exponent=exp, children=(base,)))
+    return _intern("pow", exponent=exp, children=(base,))
 
 
 def call(fname: str, arg) -> Expr:
@@ -279,7 +278,7 @@ def call(fname: str, arg) -> Expr:
             return ONE
     if fname == "abs" and arg.kind == "call" and arg.fname == "abs":
         return arg
-    return _intern(Expr("call", fname=fname, children=(arg,)))
+    return _intern("call", fname=fname, children=(arg,))
 
 
 def _split_coeff(term: Expr) -> Tuple[Fraction, Optional[Expr]]:
@@ -291,7 +290,7 @@ def _split_coeff(term: Expr) -> Tuple[Fraction, Optional[Expr]]:
         rest = term.children[1:]
         if len(rest) == 1:
             return coeff, rest[0]
-        return coeff, _intern(Expr("mul", children=rest))
+        return coeff, _intern("mul", children=rest)
     return _FRAC_ONE, term
 
 
@@ -335,7 +334,7 @@ def add(*terms) -> Expr:
     if len(out) == 1:
         return out[0]
     out.sort(key=Expr.sort_key)
-    return _intern(Expr("add", children=tuple(out)))
+    return _intern("add", children=tuple(out))
 
 
 def mul(*factors) -> Expr:
@@ -391,7 +390,7 @@ def mul(*factors) -> Expr:
         out.insert(0, const(coeff))
     if len(out) == 1:
         return out[0]
-    return _intern(Expr("mul", children=tuple(out)))
+    return _intern("mul", children=tuple(out))
 
 
 def neg(f) -> Expr:
@@ -647,33 +646,47 @@ def _exp_str(p: Fraction) -> str:
         else f"({p.numerator})"
 
 
-def _pow_base_str(b: Expr) -> str:
+def _pow_base_str(b: Expr, memo: dict) -> str:
     if b.kind in ("sym", "call") or (b.kind == "const" and b.value >= 0
                                      and b.value.denominator == 1):
-        return to_string(b)
-    return f"({to_string(b)})"
+        return to_string(b, memo)
+    return f"({to_string(b, memo)})"
 
 
-def _factor_str(f: Expr) -> str:
+def _factor_str(f: Expr, memo: dict) -> str:
     if f.kind == "add":
-        return f"({to_string(f)})"
+        return f"({to_string(f, memo)})"
     if f.kind == "const" and f.value < 0:
-        return f"({to_string(f)})"
-    return to_string(f)
+        return f"({to_string(f, memo)})"
+    return to_string(f, memo)
 
 
-def to_string(e: Expr) -> str:
+def _negative(t: Expr) -> bool:
+    """Whether a term of a sum has a negative rational coefficient."""
+    c = t.children[0] if t.kind == "mul" else t
+    return c.kind == "const" and c.value < 0
+
+
+def to_string(e: Expr, memo: Optional[dict] = None) -> str:
+    """Infix text of e.  The memo maps nodes to their text; a caller that
+    prints many expressions can share one, so that a shared subtree is
+    printed once.  It lives as long as the caller keeps it."""
+    if memo is None:
+        memo = {}
+    got = memo.get(e)
+    if got is not None:
+        return got
     k = e.kind
     if k == "const":
         v = e.value
-        return _frac_str(v) if v >= 0 else f"-{_frac_str(-v)}"
-    if k == "sym":
-        return e.name
-    if k == "call":
-        return f"{e.fname}({to_string(e.children[0])})"
-    if k == "pow":
-        return f"{_pow_base_str(e.children[0])}^{_exp_str(e.exponent)}"
-    if k == "mul":
+        out = _frac_str(v) if v >= 0 else f"-{_frac_str(-v)}"
+    elif k == "sym":
+        out = e.name
+    elif k == "call":
+        out = f"{e.fname}({to_string(e.children[0], memo)})"
+    elif k == "pow":
+        out = f"{_pow_base_str(e.children[0], memo)}^{_exp_str(e.exponent)}"
+    elif k == "mul":
         kids = list(e.children)
         prefix = ""
         if kids[0].kind == "const" and kids[0].value < 0:
@@ -682,18 +695,22 @@ def to_string(e: Expr) -> str:
             else:
                 kids[0] = const(-kids[0].value)
             prefix = "-"
-        return prefix + "*".join(_factor_str(c) for c in kids)
-    # add
-    parts = []
-    for i, t in enumerate(e.children):
-        coeff, _ = _split_coeff(t)
-        if i > 0 and coeff < 0:
-            parts.append(" - " + to_string(neg(t)))
-        elif i > 0:
-            parts.append(" + " + to_string(t))
-        else:
-            parts.append(to_string(t))
-    return "".join(parts)
+        out = prefix + "*".join(_factor_str(c, memo) for c in kids)
+    else:
+        # a term with a negative coefficient prints as "-" and the text of
+        # its negation (see the mul case), which follows " - " in a sum
+        parts = []
+        for i, t in enumerate(e.children):
+            text = to_string(t, memo)
+            if i == 0:
+                parts.append(text)
+            elif _negative(t):
+                parts.append(" - " + text[1:])
+            else:
+                parts.append(" + " + text)
+        out = "".join(parts)
+    memo[e] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +805,12 @@ class _Parser:
 
     def parse_term(self):
         # collect the whole factor chain before canonicalizing so the
-        # result does not depend on association order of '*'
+        # result does not depend on association order of '*'; a leading
+        # minus negates the whole product, as to_string prints -1*a*b
         t0 = self.peek()
+        negate = t0.kind == "-"
+        if negate:
+            self.next()
         factors = [self.parse_unary()]
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
@@ -803,9 +824,8 @@ class _Parser:
                     factors.append(powr(rhs, -1))
                 except ExprError as exc:
                     raise ParseError(str(exc), t0.line, t0.col) from None
-        if len(factors) == 1:
-            return factors[0]
-        return mul(*factors)
+        term = factors[0] if len(factors) == 1 else mul(*factors)
+        return neg(term) if negate else term
 
     def parse_unary(self):
         if self.peek().kind == "-":

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import curvkit.exprcore as ec
-from curvkit.catalog import builtin
+from curvkit.catalog import builtin, parse_metric_source
 from curvkit.curvature import (build_bundle, covariant_derivative,
-                               derived_curvatures)
+                               derived_curvatures, partials)
 from curvkit.tensor import ComponentTensor, invert_metric
 from oracles import bardeen_lapse
 
@@ -202,3 +202,77 @@ def test_charge_to_zero_limit_is_quadratic(schw):
     assert errs[0] < 1e-2
     # quadratic decay: shrinking e by 10 shrinks the error by about 100
     assert errs[1] < errs[0] / 50
+
+
+# ---------------------------------------------------------------------------
+# node identity of the covariant derivative
+
+def incremental_covariant_derivative(T, gamma, coords):
+    """Reference: d_f T minus each Gamma contraction subtracted from the
+    growing sum, one nonzero Gamma entry and slot at a time."""
+    k = T.valence
+    out = partials(T.data, coords)
+    for (u, f, c), gterm in np.ndenumerate(gamma):
+        if gterm.is_zero():
+            continue
+        for s in range(k):
+            pre = (slice(None),) * s
+            post = (slice(None),) * (k - 1 - s)
+            out[pre + (c,) + post + (f,)] -= T.data[pre + (u,) + post] * gterm
+    return out
+
+
+INLINE_METRICS = {
+    # off-diagonal, ingoing coordinates, mass growing with v
+    "ingoing_v": """dim 4
+coords v r theta phi
+params M q
+g[0][0] = -(1 - 2*M*v/r + q^2/r^2)
+g[0][1] = 1
+g[2][2] = r^2
+g[3][3] = r^2*sin(theta)^2
+""",
+    # diagonal, depending on t only
+    "bianchi_t": """dim 4
+coords t x y z
+range t 1 3
+g[0][0] = -1
+g[1][1] = t^(2/3)
+g[2][2] = t^(4/3)
+g[3][3] = t^(1/2)
+""",
+    # conformally flat, factor depending on r and theta
+    "conformal_r_theta": """dim 4
+coords t r theta phi
+params a
+range r 1 2
+g[0][0] = -(1 + a*r*cos(theta))^2
+g[1][1] = (1 + a*r*cos(theta))^2
+g[2][2] = (1 + a*r*cos(theta))^2*r^2
+g[3][3] = (1 + a*r*cos(theta))^2*r^2*sin(theta)^2
+""",
+}
+
+
+BUILTIN_FIXTURES = {"bardeen": "bardeen_classified",
+                    "reissner_nordstrom": "rn_classified",
+                    "schwarzschild": "schw_classified",
+                    "minkowski": "mink_classified"}
+
+
+@pytest.mark.parametrize("metric_id", [*BUILTIN_FIXTURES, *INLINE_METRICS])
+def test_covariant_derivative_equals_incremental_sums(metric_id, request):
+    # one add per entry gives the very nodes of the one-term-at-a-time form
+    if metric_id in INLINE_METRICS:
+        spec = parse_metric_source(INLINE_METRICS[metric_id], metric_id)
+        bundle = build_bundle(invert_metric(spec.g()), spec.coords)
+    else:
+        bundle = request.getfixturevalue(BUILTIN_FIXTURES[metric_id])[1]
+    for name, T in (("nabla_R", bundle.R), ("nabla_C", bundle.C),
+                    ("nabla_S", bundle.S)):
+        want = incremental_covariant_derivative(T, bundle.gamma,
+                                                bundle.coords)
+        got = getattr(bundle, name).data
+        assert got.shape == want.shape
+        for idx, e in np.ndenumerate(want):
+            assert got[idx] is e, (name, idx)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curvkit.exprcore as ec
@@ -33,6 +33,14 @@ def test_round_trip_reparse_is_identical():
         e = p(text)
         again = ec.parse_expr(ec.to_string(e), SYMS)
         assert e is again, text
+
+
+def test_negated_product_of_sums_round_trips():
+    # prints as -(2 + x)*(x + y); the leading minus negates the product
+    e = p("0 - (x+y)*(x+2)")
+    assert ec.to_string(e) == "-(2 + x)*(x + y)"
+    assert p(ec.to_string(e)) is e
+    assert p("-(2 + x)*(x + y)") is ec.neg(p("(2 + x)*(x + y)"))
 
 
 def test_parse_error_reports_location():
@@ -233,6 +241,8 @@ def expr_text(draw, depth=0):
 
 @settings(max_examples=60, deadline=None)
 @given(expr_text())
+@example("((((x + x) * (x - x)) - ((x + y) * (x + 2)))"
+         " + (x * ((x + x) * (x - x))))")
 def test_property_roundtrip_and_eval(text):
     e = ec.parse_expr(text, {"x", "y"})
     again = ec.parse_expr(ec.to_string(e), {"x", "y"})
@@ -241,6 +251,21 @@ def test_property_roundtrip_and_eval(text):
     a = ec.eval_float(e, values, {})
     b = float(ec.evaluate(e, values))
     assert abs(a - b) <= 1e-10 * (1 + abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(expr_text(), min_size=1, max_size=8),
+       st.randoms(use_true_random=False))
+def test_property_shared_printer_memo(texts, rnd):
+    # one memo shared over many prints gives each expression's own text,
+    # whatever was printed before it
+    exprs = [ec.parse_expr(t, {"x", "y"}) for t in texts]
+    exprs += [ec.neg(e) for e in exprs] + [ec.add(*exprs), ec.mul(*exprs)]
+    fresh = {e: ec.to_string(e) for e in exprs}
+    rnd.shuffle(exprs)
+    memo = {}
+    for e in exprs:
+        assert ec.to_string(e, memo) == fresh[e]
 
 
 # functions and powers that leave their domain or overflow on part of the

@@ -51,11 +51,14 @@ def test_verify_report_reproduces(bardeen_classified):
     assert round_trip(res) == committed("verify_bardeen.json")
 
 
-@pytest.mark.parametrize("metric_id", ["schwarzschild", "bardeen"])
-@pytest.mark.parametrize("tensor", ["S", "kappa", "nabla_R"])
+@pytest.mark.parametrize("metric_id",
+                         ["schwarzschild", "bardeen", "reissner_nordstrom"])
+@pytest.mark.parametrize("tensor", ["S", "kappa", "nabla_R", "nabla_C"])
 def test_components_dump_matches_digest(metric_id, tensor):
     # node identity: a kernel change that moves any symbolic node moves the
-    # printed components; reproduce_reports.py checks all 52 dumps
+    # printed components; reproduce_reports.py checks all 52 dumps.  The
+    # nabla_C dumps of bardeen and reissner_nordstrom are the largest
+    # (about 1 MB each), the printer's stress case
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.run(["components", "--metric", metric_id,
