@@ -25,11 +25,11 @@ import json
 import os
 import sys
 
-from curvkit import cli, curvature
+from curvkit import catalog, cli, curvature
 
 OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "reports")
-BUILTINS = ("bardeen", "reissner_nordstrom", "schwarzschild", "minkowski")
+BUILTINS = catalog.BUILTIN_IDS
 TENSORS = curvature.TENSORS + ("kappa",)
 CLASSIFY_POINTS = (12, 48, 192)
 CLASSIFY_SEEDS = (42, 7)

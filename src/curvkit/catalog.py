@@ -1,33 +1,24 @@
-"""Built-in metric definitions and the metric description file loader.
+"""The metric description file loader, the built-in metrics written in its
+format, and the published reference data.
 
-File format (plain text, newline-delimited):
-
-    dim 4
-    coords t r theta phi
-    params M e
-    range r 1.5 3
-    g[0][0] = -(1 - 2*M*r^2/(e^2+r^2)^(3/2))
-    ...
-
-Unspecified components are zero, g[j][i] is filled by symmetry, and
-assigning both g[i][j] and g[j][i] different expressions is an error.
+A metric file is plain text, one directive per line: `dim`, `coords`, the
+optional `params` and `range <coord> <lo> <hi>`, then `g[i][j] = <expr>`
+(see _BUILTINS).  `#` starts a comment.  Unspecified components are zero,
+g[j][i] is filled by symmetry, and assigning both g[i][j] and g[j][i] is an
+error.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import exprcore as ec
-from .exprcore import Expr, ParseError
+from .exprcore import ParseError
 from .tensor import ComponentTensor
-
-BUILTIN_IDS = ("bardeen", "reissner_nordstrom", "schwarzschild", "minkowski")
 
 
 class CatalogError(Exception):
@@ -43,7 +34,6 @@ class MetricSpec:
     components: np.ndarray              # (n,n) object array of Expr
     defaults: Dict[str, float] = field(default_factory=dict)
     ranges: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    note: str = ""
 
     def coordinate_range(self, name: str) -> Tuple[float, float]:
         return self.ranges.get(name, ec.default_range(name))
@@ -52,67 +42,63 @@ class MetricSpec:
         return ComponentTensor(self.components, 2, self.dim)
 
 
-def _components_from(dim, coords, params, entries) -> np.ndarray:
-    allowed = set(coords) | set(params)
-    out = np.empty((dim, dim), dtype=object)
-    out[...] = ec.ZERO
-    for (i, j), text in entries.items():
-        e = ec.parse_expr(text, allowed)
-        out[i, j] = e
-        out[j, i] = e
-    return out
+# each builtin as metric-file text, with its parameter defaults
+_BUILTINS = {
+    "bardeen": ("""\
+dim 4
+coords t r theta phi
+params M e
+range r 1.5 3
+g[0][0] = -(1 - 2*M*r^2/(e^2+r^2)^(3/2))
+g[1][1] = 1/(1 - 2*M*r^2/(e^2+r^2)^(3/2))
+g[2][2] = r^2
+g[3][3] = r^2*sin(theta)^2
+""", {"M": 1.0, "e": 0.5}),
+    "reissner_nordstrom": ("""\
+# ingoing coordinates, with a dt dr cross term
+dim 4
+coords t r theta phi
+params m q
+range r 1.5 3
+g[0][0] = -(1 - 2*m/r + q^2/r^2)
+g[0][1] = -1
+g[2][2] = r^2
+g[3][3] = r^2*sin(theta)^2
+""", {"m": 1.0, "q": 0.5}),
+    "schwarzschild": ("""\
+dim 4
+coords t r theta phi
+params M
+range r 2.2 4
+g[0][0] = -(1 - 2*M/r)
+g[1][1] = 1/(1 - 2*M/r)
+g[2][2] = r^2
+g[3][3] = r^2*sin(theta)^2
+""", {"M": 1.0}),
+    "minkowski": ("""\
+dim 4
+coords t x y z
+g[0][0] = -1
+g[1][1] = 1
+g[2][2] = 1
+g[3][3] = 1
+""", {}),
+}
+BUILTIN_IDS = tuple(_BUILTINS)
+
+
+def builtin_source(metric_id: str) -> str:
+    """The metric-file text of a builtin."""
+    if metric_id not in _BUILTINS:
+        raise CatalogError(f"unknown metric id '{metric_id}' "
+                           f"(builtins: {', '.join(BUILTIN_IDS)})")
+    return _BUILTINS[metric_id][0]
 
 
 def builtin(metric_id: str) -> MetricSpec:
-    if metric_id == "bardeen":
-        lapse = "1 - 2*M*r^2/(e^2+r^2)^(3/2)"
-        comps = _components_from(
-            4, ["t", "r", "theta", "phi"], ["M", "e"],
-            {(0, 0): f"-({lapse})",
-             (1, 1): f"1/({lapse})",
-             (2, 2): "r^2",
-             (3, 3): "r^2*sin(theta)^2"})
-        return MetricSpec(
-            id="bardeen", dim=4, coords=["t", "r", "theta", "phi"],
-            params=["M", "e"], components=comps,
-            defaults={"M": 1.0, "e": 0.5},
-            ranges={"r": (1.5, 3.0), "theta": (0.3, math.pi - 0.3)},
-            note="regular charged black hole, spherical coordinates")
-    if metric_id == "reissner_nordstrom":
-        comps = _components_from(
-            4, ["t", "r", "theta", "phi"], ["m", "q"],
-            {(0, 0): "-(1 - 2*m/r + q^2/r^2)",
-             (0, 1): "-1",
-             (2, 2): "r^2",
-             (3, 3): "r^2*sin(theta)^2"})
-        return MetricSpec(
-            id="reissner_nordstrom", dim=4,
-            coords=["t", "r", "theta", "phi"], params=["m", "q"],
-            components=comps, defaults={"m": 1.0, "q": 0.5},
-            ranges={"r": (1.5, 3.0), "theta": (0.3, math.pi - 0.3)},
-            note="charged black hole, ingoing coordinates with a dt dr "
-                 "cross term")
-    if metric_id == "schwarzschild":
-        comps = _components_from(
-            4, ["t", "r", "theta", "phi"], ["M"],
-            {(0, 0): "-(1 - 2*M/r)",
-             (1, 1): "1/(1 - 2*M/r)",
-             (2, 2): "r^2",
-             (3, 3): "r^2*sin(theta)^2"})
-        return MetricSpec(
-            id="schwarzschild", dim=4, coords=["t", "r", "theta", "phi"],
-            params=["M"], components=comps, defaults={"M": 1.0},
-            ranges={"r": (2.2, 4.0), "theta": (0.3, math.pi - 0.3)},
-            note="vacuum spherically symmetric control case")
-    if metric_id == "minkowski":
-        comps = _components_from(
-            4, ["t", "x", "y", "z"], [],
-            {(0, 0): "-1", (1, 1): "1", (2, 2): "1", (3, 3): "1"})
-        return MetricSpec(
-            id="minkowski", dim=4, coords=["t", "x", "y", "z"], params=[],
-            components=comps, note="flat control case")
-    raise CatalogError(f"unknown metric id '{metric_id}' "
-                       f"(builtins: {', '.join(BUILTIN_IDS)})")
+    spec = parse_metric_source(builtin_source(metric_id), metric_id)
+    spec.defaults = dict(_BUILTINS[metric_id][1])
+    return spec
 
 
 def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:

@@ -186,6 +186,9 @@ class PointBatch:
 
     arrays: Dict[str, np.ndarray]
     kappa: np.ndarray                 # (P,)
+    # singular values of a tensor's cyclic design (P, k), by tensor name:
+    # form recurrence and the Venzi nullspaces share them
+    cyclic_sv: Dict[str, np.ndarray] = field(default_factory=dict)
     ginv: np.ndarray = field(init=False)   # (P, n, n)
     J: np.ndarray = field(init=False)      # (P, n, n) Ricci operator g^-1 S
 
@@ -505,6 +508,7 @@ def classify_form_recurrence(batch: PointBatch, tol: float,
         D, nab = batch.arrays[dkey], batch.arrays[nkey]
         lhs = _cyc5(nab)
         A, b, sv = _system(name, lhs, _cyclic_design(D))
+        batch.cyclic_sv[dkey] = sv
         vanishing = _amax(D) <= tol
         # where the cyclic sum vanishes identically, recurrence requires a
         # nonzero 1-form annihilating the cyclic map
@@ -569,14 +573,21 @@ def classify_symmetry_forms(batch: PointBatch, tol: float,
     for dname, dkey in (("riemann", "R"), ("weyl", "C"),
                         ("projective", "P"), ("concircular", "W"),
                         ("conharmonic", "K")):
-        A = _cyclic_design(batch.arrays[dkey])
-        dims = _nullity(_svd(f"venzi_{dname}",
-                             A.reshape(len(A), -1, A.shape[-1])))
-        fit = CoefficientFit(relation=f"venzi_{dname}", verdict=(
-            "degenerate" if (dims == -1).all()
-            else "holds" if (dims >= 1).all() else "fails"))
-        fit.extra["nullspace_dim_per_point"] = dims.tolist()
-        report.add(fit)
+        if dkey not in batch.cyclic_sv:
+            A = _cyclic_design(batch.arrays[dkey])
+            batch.cyclic_sv[dkey] = _svd(f"venzi_{dname}", A.reshape(
+                len(A), -1, A.shape[-1]))
+        report.add(_venzi(f"venzi_{dname}", batch.cyclic_sv[dkey]))
+
+
+def _venzi(relation: str, sv: np.ndarray) -> CoefficientFit:
+    """Venzi: a nonzero 1-form annihilates the cyclic map at every point."""
+    dims = _nullity(sv)
+    fit = CoefficientFit(relation=relation, verdict=(
+        "degenerate" if (dims == -1).all()
+        else "holds" if (dims >= 1).all() else "fails"))
+    fit.extra["nullspace_dim_per_point"] = dims.tolist()
+    return fit
 
 
 def classify_stress_pseudosymmetry(batch: PointBatch, tol: float,

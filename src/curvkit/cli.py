@@ -102,6 +102,10 @@ def _cmd_components(args) -> int:
 
 
 def _classify_one(selector: str, args) -> cf.StructureReport:
+    if args.tol <= 0:
+        raise UsageError("--tol must be positive")
+    if args.points < 4:
+        raise UsageError("--points must be at least 4")
     spec = _resolve_metric(selector)
     bundle = _build(spec, args.lam)
     forms = catalog.reference_coefficient_forms(spec.id)
@@ -186,30 +190,36 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# the options each subcommand reads besides --metric, --format and --out
+_OPTIONS = {"param": dict(action="append", metavar="K=V"),
+            "lambda": dict(dest="lam", type=float, default=0.0),
+            "points": dict(type=int, default=cf.DEFAULT_POINTS),
+            "tol": dict(type=float, default=cf.DEFAULT_TOL),
+            "seed": dict(type=int, default=cf.DEFAULT_SEED),
+            "tensor": dict(default="R",
+                           help=", ".join(cv.TENSORS) + ", or kappa")}
+_CLASSIFY = "param lambda points tol seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curvkit",
         description="curvature structure engine for closed-form metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("components", _cmd_components),
-                     ("classify", _cmd_classify),
-                     ("verify", _cmd_verify),
-                     ("compare", _cmd_compare)):
+    for name, fn, options in (
+            ("components", _cmd_components, "lambda tensor"),
+            ("classify", _cmd_classify, _CLASSIFY),
+            ("verify", _cmd_verify, "lambda seed"),
+            ("compare", _cmd_compare, _CLASSIFY)):
         p = sub.add_parser(name)
         p.add_argument("--metric", action="append", required=True,
                        help="builtin id or path to a metric file "
                             "(repeatable for compare)")
-        p.add_argument("--param", action="append", metavar="K=V")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-        p.add_argument("--points", type=int, default=cf.DEFAULT_POINTS)
-        p.add_argument("--tol", type=float, default=cf.DEFAULT_TOL)
-        p.add_argument("--seed", type=int, default=cf.DEFAULT_SEED)
+        for opt in options.split():
+            p.add_argument(f"--{opt}", **_OPTIONS[opt])
         p.add_argument("--format", choices=("json", "markdown"),
                        default="json")
         p.add_argument("--out", default=None)
-        if name == "components":
-            p.add_argument("--tensor", default="R",
-                           help=", ".join(cv.TENSORS) + ", or kappa")
         p.set_defaults(fn=fn)
     return parser
 
@@ -221,15 +231,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
-        if args.points < 4:
-            raise UsageError("--points must be at least 4")
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (catalog.CatalogError, ec.ParseError) as exc:
+    except (UsageError, catalog.CatalogError, ec.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ec.EvalError, tn.TensorError, cf.ClassifyError) as exc:

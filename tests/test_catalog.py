@@ -1,12 +1,16 @@
 """Metric catalog: builtins and the metric description file format."""
 
+import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import curvkit.exprcore as ec
-from curvkit.catalog import (BUILTIN_IDS, CatalogError, builtin, load_metric,
-                             parse_metric_source, reference_coefficient_forms,
+from curvkit.catalog import (BUILTIN_IDS, CatalogError, builtin,
+                             builtin_source, load_metric, parse_metric_source,
+                             reference_coefficient_forms,
                              reference_component_checks)
 
 GOOD = """\
@@ -37,17 +41,36 @@ def test_unknown_builtin():
 
 
 def test_file_format_reproduces_builtin():
-    spec = parse_metric_source(GOOD)
-    ref = builtin("bardeen")
-    rng = random.Random(1)
-    for _ in range(5):
-        values = {"t": 0.0, "phi": 0.0, "r": rng.uniform(1.5, 3.0),
-                  "theta": rng.uniform(0.3, 2.8), "M": 1.0, "e": 0.5}
-        for i in range(4):
-            for j in range(4):
-                a = ec.eval_float(spec.components[i, j], values, {})
-                b = ec.eval_float(ref.components[i, j], values, {})
-                assert abs(a - b) < 1e-12
+    # the components are written as in the builtin's source, so they parse
+    # to the very nodes of the builtin
+    spec, ref = parse_metric_source(GOOD), builtin("bardeen")
+    assert all(spec.components[i, j] is ref.components[i, j]
+               for i in range(4) for j in range(4))
+
+
+@pytest.mark.parametrize("mid, r_range, defaults", [
+    ("bardeen", (1.5, 3.0), {"M": 1.0, "e": 0.5}),
+    ("reissner_nordstrom", (1.5, 3.0), {"m": 1.0, "q": 0.5}),
+    ("schwarzschild", (2.2, 4.0), {"M": 1.0}),
+    ("minkowski", None, {}),
+])
+def test_builtin_sources_keep_ranges_and_defaults(mid, r_range, defaults):
+    # theta keeps the default window (0.3, pi - 0.3), which the file
+    # format cannot spell
+    spec = builtin(mid)
+    assert spec.ranges == ({"r": r_range} if r_range else {})
+    assert spec.defaults == defaults
+    assert spec.coordinate_range("theta") == (0.3, math.pi - 0.3)
+
+
+def test_readme_metric_file_is_the_bardeen_builtin():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = re.search(r"```\n(dim 4\n.*?)```", readme, re.S).group(1)
+    spec, ref = parse_metric_source(text), builtin("bardeen")
+    assert (spec.coords, spec.params, spec.ranges) == (
+        ref.coords, ref.params, ref.ranges)
+    assert all(a is b for a, b in zip(spec.components.flat,
+                                      ref.components.flat))
 
 
 def test_load_metric_missing_file():

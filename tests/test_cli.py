@@ -2,6 +2,9 @@
 
 import json
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +37,29 @@ def test_usage_errors_exit_2(capsys):
     assert cli.run(["compare", "--metric", "bardeen"]) == 2
     assert cli.run(["verify", "--metric", "minkowski"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["components", "--param", "M=2"], ["components", "--points", "24"],
+    ["components", "--tol", "1e-6"], ["components", "--seed", "3"],
+    ["verify", "--param", "M=2"], ["verify", "--points", "24"],
+    ["verify", "--tol", "1e-6"]], ids="_".join)
+def test_options_a_subcommand_does_not_read_exit_2(argv, capsys):
+    # verify --param M=2 would otherwise check M = 1 without a word
+    assert cli.run([argv[0], "--metric", "bardeen", *argv[1:]]) == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["classify", "--metric", "bardeen"],
+    ["compare", "--metric", "bardeen", "--metric", "schwarzschild"]],
+    ids=lambda c: c[0])
+@pytest.mark.parametrize("option, message", [
+    (["--tol", "-1"], "error: --tol must be positive"),
+    (["--points", "2"], "error: --points must be at least 4")])
+def test_tol_and_points_checks(command, option, message, capsys):
+    assert cli.run([*command, *option]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
 
 
 def test_unknown_metric_exits_2(capsys):
@@ -218,3 +244,16 @@ def test_compare_outputs(tmp_path, capsys):
     assert "scalar_curvature_zero" in data["differing"]
     assert "roter" in data["shared_holds"]
     capsys.readouterr()
+
+
+def test_demo_script_reproduces_the_builtin(monkeypatch, capsys):
+    # the demo writes the catalog's own bardeen source to bardeen.metric
+    path = Path(__file__).resolve().parent.parent / "scripts" / \
+        "metric_from_file_demo.py"
+    demo = runpy.run_path(str(path))
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert demo["main"]() == 0
+    from_file = capsys.readouterr().out
+    assert cli.run(["classify", "--metric", "bardeen", "--format",
+                    "markdown"]) == 0
+    assert from_file == capsys.readouterr().out
