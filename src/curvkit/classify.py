@@ -532,6 +532,11 @@ def classify_form_recurrence(batch: PointBatch, tol: float,
                     _design([[(1, S, 0), (-1, S, 1)]]), tol))
 
 
+# the Riemann tensor and the Weyl-type tensors built from it, by name
+_WEYL_FAMILY = (("riemann", "R"), ("weyl", "C"), ("projective", "P"),
+                ("concircular", "W"), ("conharmonic", "K"))
+
+
 def classify_ricci_properties(batch: PointBatch, tol: float,
                               report: StructureReport):
     nab = batch.arrays["nabla_S"]
@@ -544,9 +549,7 @@ def classify_ricci_properties(batch: PointBatch, tol: float,
         scale, tol))
 
     ops = (("ricci", batch.J), ("stress", batch.ginv @ batch.arrays["T"]))
-    for dname, dkey in (("riemann", "R"), ("weyl", "C"),
-                        ("projective", "P"), ("concircular", "W"),
-                        ("conharmonic", "K")):
+    for dname, dkey in _WEYL_FAMILY:
         for sname, op in ops:
             # X[a,x,b,c] = sum_u op^u_a D[u,x,b,c]; the deviation is its
             # cyclic sum over (a, b, c)
@@ -570,9 +573,7 @@ def classify_symmetry_forms(batch: PointBatch, tol: float,
     report.add(_fit("chaki_pseudosymmetric", nabla_R,
                     _design([[(1 if s == 4 else 2, D, s)
                               for D, s in slots]]), tol))
-    for dname, dkey in (("riemann", "R"), ("weyl", "C"),
-                        ("projective", "P"), ("concircular", "W"),
-                        ("conharmonic", "K")):
+    for dname, dkey in _WEYL_FAMILY:
         if dkey not in batch.cyclic_sv:
             A = _cyclic_design(batch.arrays[dkey])
             batch.cyclic_sv[dkey] = _svd(f"venzi_{dname}", A.reshape(
@@ -627,9 +628,8 @@ def _first_miss(have: np.ndarray, want: np.ndarray,
 
 
 def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
-                                  forms: Dict[str, List[List[str]]],
-                                  rel_tol: float = 1e-8):
-    """Compare fitted coefficient values against candidate closed forms.
+                                  forms: Dict[str, List[List[str]]]):
+    """Match fitted coefficients to candidate closed forms, to 1e-8 relative.
 
     forms maps structure name -> per-coefficient list of candidate
     expression strings (in the metric's coordinates and parameters).
@@ -650,7 +650,7 @@ def verify_reference_coefficients(report: StructureReport, spec: MetricSpec,
                 want = np.broadcast_to(ec.eval_float(
                     ec.parse_expr(cand, allowed), values, memo),
                     (len(report.plan),))[live]
-                miss = _first_miss(have, want, rel_tol)
+                miss = _first_miss(have, want, 1e-8)
                 if miss is None:
                     matched = cand
                     break
@@ -730,7 +730,7 @@ def compare_metrics(rep_a: StructureReport, rep_b: StructureReport) -> Dict:
 # published component-table verification
 
 def _fd_curvature(spec: MetricSpec, points: List[Dict[str, float]],
-                  lam: float = 0.0, h: float = 2e-4) -> PointBatch:
+                  lam: float = 0.0) -> PointBatch:
     """Numeric curvature at the given points using central finite
     differences of the metric components only; independent of the symbolic
     derivative path.  The derived tensors follow from R, S and kappa by the
@@ -755,7 +755,7 @@ def _fd_curvature(spec: MetricSpec, points: List[Dict[str, float]],
         base = func(vals)
         out = np.empty(base.shape + (n,))
         for k in range(n):
-            step = h * max(1.0, abs(vals[coords[k]]))
+            step = 2e-4 * max(1.0, abs(vals[coords[k]]))
             out[..., k] = (func(shifted(vals, k, step))
                            - func(shifted(vals, k, -step))) / (2 * step)
         return out
@@ -833,11 +833,10 @@ def check_values(kind: str, indices: Sequence[int], batch: PointBatch,
 
 def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
                             checks: List[Dict], lam: float = 0.0,
-                            count: int = 8, seed: int = DEFAULT_SEED,
-                            rel_tol: float = 1e-10) -> Dict:
+                            count: int = 8, seed: int = DEFAULT_SEED) -> Dict:
     """Compare published component values against the engine at random
-    points; re-verify every mismatching engine value with the
-    finite-difference oracle.
+    points, to 1e-10 relative; re-verify every mismatching engine value
+    with the finite-difference oracle.
 
     The oracle recomputes only the factor tensors (R, S, kappa and what
     follows from them, nabla_R, nabla_C) from finite differences of the
@@ -856,7 +855,7 @@ def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
         engine = check_values(chk["kind"], chk["indices"], batch, tables)
         ref = np.broadcast_to(ec.eval_float(
             ec.parse_expr(chk["expr"], allowed), values, memo), engine.shape)
-        pi = _first_miss(engine, ref, rel_tol)
+        pi = _first_miss(engine, ref, 1e-10)
         entry = {"group": chk["group"], "kind": chk["kind"],
                  "indices": list(chk["indices"]),
                  "status": "match" if pi is None else "mismatch"}

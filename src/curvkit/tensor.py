@@ -93,8 +93,10 @@ def _det(m: np.ndarray) -> Expr:
     return total
 
 
-def invert_metric(g: ComponentTensor, check_seed: int = 7) -> MetricData:
-    """Exact symbolic inverse via the adjugate."""
+def invert_metric(g: ComponentTensor) -> MetricData:
+    """Exact symbolic inverse via the adjugate.  Only a structurally zero
+    determinant is rejected here; a metric file's g is checked numerically
+    for singularity when it is loaded (catalog._probe_invertibility)."""
     if g.valence != 2:
         raise TensorError("metric must be a (0,2) tensor")
     n = g.dim
@@ -104,7 +106,7 @@ def invert_metric(g: ComponentTensor, check_seed: int = 7) -> MetricData:
             if m[i, j] is not m[j, i]:
                 raise TensorError("metric must be symmetric")
     det = _det(m)
-    if det.is_zero() or not _probably_nonzero(det, check_seed):
+    if det.is_zero():
         raise TensorError("metric is symbolically singular")
     inv = np.empty((n, n), dtype=object)
     for i in range(n):
@@ -115,21 +117,6 @@ def invert_metric(g: ComponentTensor, check_seed: int = 7) -> MetricData:
                 cof = ec.neg(cof)
             inv[i, j] = ec.div(cof, det)
     return MetricData(g=g, g_inv=inv, det=det)
-
-
-def _probably_nonzero(e: Expr, seed: int) -> bool:
-    import random
-    rng = random.Random(seed)
-    names = e.free_symbols()
-    for _ in range(8):
-        b = ec.sample_binding(names, rng)
-        try:
-            v = ec.evaluate(e, b)
-        except ec.DomainError:
-            continue
-        if abs(v) > 1e-30:
-            return True
-    return False
 
 
 def _require_same_mode(*tensors):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from curvkit import cli
+from curvkit import exprcore as ec
 
 GOOD = """\
 dim 4
@@ -188,6 +189,36 @@ def test_overflowing_metric_file_exits_2(tmp_path, capsys):
     assert cli.run(["classify", "--metric", path]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: metric 'huge' is singular or not finite at all probe points"]
+
+
+def test_numerically_singular_metric_file_exits_2(tmp_path, capsys):
+    # det = sin(r)^2 + cos(r)^2 - 1 is not structurally zero, but the load
+    # probe finds it zero at every probe point; inversion never sees it
+    path = tmp_path / "identity.metric"
+    path.write_text("dim 2\ncoords t r\ng[0][0] = sin(r)^2 + cos(r)^2\n"
+                    "g[0][1] = 1\ng[1][1] = 1\n")
+    assert cli.run(["classify", "--metric", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: metric 'identity' is singular or not finite at all probe "
+        "points"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--metric", "bardeen"],
+    ["compare", "--metric", "bardeen", "--metric", "reissner_nordstrom"],
+    ["verify", "--metric", "bardeen"],
+    ["components", "--metric", "bardeen", "--tensor", "kappa"]],
+    ids=lambda a: a[0])
+def test_subcommands_never_evaluate_at_high_precision(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    # singularity is decided once, by the float load probe; no run reaches
+    # the 100-bit evaluate
+    def refuse(*_):
+        raise AssertionError("exprcore.evaluate called")
+
+    monkeypatch.setattr(ec, "evaluate", refuse)
+    assert cli.run([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
 
 
 def test_sample_plan_error_counts_rejections(tmp_path, capsys):
