@@ -16,6 +16,12 @@ end-to-end metric, each side's median and quartiles, the pairs the change
 won (ties count for neither side) and the change's worsening against the
 metric's bound from BENCHMARK.json.  The temporary directory is removed
 afterwards, also when a run fails.
+
+A run that exits nonzero, times out or reports failed requests is named on
+stderr (workload, pair, side, seed) with its exit status, its FAILED:
+lines and the last 30 lines of its output.  A run that exits nonzero or
+times out ends the benchmark with exit code 1; failed requests are kept in
+the summary's `failed` counts.
 """
 
 import argparse
@@ -39,13 +45,44 @@ def export(rev: str, dest: str):
         tf.extractall(dest, filter="data")
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """The JSON line of one untraced benchmark run from the checkout root."""
+def report_failure(where: str, status: str, stdout, stderr):
+    """A failed run's status and the end of its output, on stderr: its
+    FAILED: lines and its last 30 lines."""
+    lines = []
+    for text in (stdout, stderr):
+        if isinstance(text, bytes):   # TimeoutExpired keeps raw bytes
+            text = text.decode("utf-8", "replace")
+        lines += (text or "").splitlines()
+    shown = [ln for ln in lines[:-30] if ln.startswith("FAILED:")] \
+        + lines[-30:]
+    print(f"{where}: {status}", *shown, sep="\n", file=sys.stderr,
+          flush=True)
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float,
+             where: str) -> dict:
+    """The JSON line of one untraced benchmark run from the checkout root.
+    A run that exits nonzero or times out is reported and ends the
+    benchmark; one with failed requests is reported and kept."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True,
-                         text=True, timeout=max(600.0, 20 * seconds)).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    timeout = max(600.0, 20 * seconds)
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        report_failure(where, f"timed out after {timeout:g} s", exc.stdout,
+                       exc.stderr)
+        raise SystemExit(1) from None
+    if proc.returncode != 0:
+        report_failure(where, f"exit code {proc.returncode}", proc.stdout,
+                       proc.stderr)
+        raise SystemExit(1)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if result["failed"]:
+        report_failure(where, f"exit code 0, failed {result['failed']}",
+                       proc.stdout, proc.stderr)
+    return result
 
 
 def spread(values):
@@ -104,8 +141,10 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if pair % 2 == 0 \
                     else ("change", "parent")
                 for side in order:
-                    result = run_once(roots[side], wl["name"], pair + 1,
-                                      bench["run_seconds"])
+                    result = run_once(
+                        roots[side], wl["name"], pair + 1,
+                        bench["run_seconds"],
+                        f"{wl['name']} pair {pair} {side} seed {pair + 1}")
                     runs.append({"workload": wl["name"], "pair": pair,
                                  "seed": pair + 1, "side": side,
                                  "result": result})

@@ -188,15 +188,18 @@ def load_metric(path: str) -> MetricSpec:
 
 
 def _probe_invertibility(spec: MetricSpec):
-    """g must be finite and invertible at 4 of 32 seeded points."""
+    """g must be finite and invertible at 4 of 32 seeded points.  The det
+    is taken with each row divided by its largest |entry|, so the test does
+    not depend on the scale of g (a norm would square and overflow)."""
     rng = random.Random(11)
     names = spec.coords + spec.params
     draws = np.array([[rng.uniform(*spec.coordinate_range(nm))
                        for nm in names] for _ in range(32)])
     m = spec.g().evaluate(dict(zip(names, draws.T), **spec.defaults)).data
     with np.errstate(all="ignore"):
+        scaled = m / np.abs(m).max(axis=2, keepdims=True)
         ok = np.isfinite(m).all(axis=(1, 2)) \
-            & (np.abs(np.linalg.det(m)) > 1e-12)
+            & (np.abs(np.linalg.det(scaled)) > 1e-12)
     if ok.sum() < 4:
         raise CatalogError(f"metric '{spec.id}' is singular or not finite "
                            f"at all probe points")

@@ -69,7 +69,9 @@ def _json_dump(obj) -> str:
 
 def _cmd_components(args) -> int:
     spec = _resolve_metric(args.metric[0])
-    bundle = _build(spec, args.lam)
+    # lazy: the dump builds only the layers of the tensor it prints
+    bundle = cv.CurvatureBundle(tn.invert_metric(spec.g()), spec.coords,
+                                args.lam)
     name = args.tensor
     if name == "kappa":
         payload = {"metric": spec.id, "tensor": "kappa",

@@ -14,9 +14,9 @@ products are not, so each formula keeps the grouping of its index sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -123,25 +123,52 @@ TENSORS = ("g", "R", "S", "S2", "C", "P", "W", "K", "T",
            "nabla_R", "nabla_C", "nabla_S")
 
 
-@dataclass
 class CurvatureBundle:
-    """Everything the classifier consumes, fully symbolic."""
+    """Everything the classifier consumes, fully symbolic.  Each tensor is
+    built on first access from only the layers it depends on, and kept."""
 
-    metric: MetricData
-    coords: List[str]
-    gamma: np.ndarray
-    R: ComponentTensor
-    S: ComponentTensor
-    kappa: Expr
-    S2: ComponentTensor
-    C: ComponentTensor
-    P: ComponentTensor
-    W: ComponentTensor
-    K: ComponentTensor
-    nabla_R: ComponentTensor
-    nabla_C: ComponentTensor
-    nabla_S: ComponentTensor
-    T: ComponentTensor
+    def __init__(self, metric: MetricData, coords: Sequence[str], lam=0):
+        self.metric = metric
+        self.coords = list(coords)
+        self.lam = lam if isinstance(lam, Expr) else ec.const(Fraction(lam))
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return christoffel(self.metric, self.coords)
+
+    @cached_property
+    def R(self) -> ComponentTensor:
+        return riemann(self.gamma, self.metric, self.coords)
+
+    @cached_property
+    def ricci_family(self):
+        return ricci_family(self.R, self.metric)
+
+    @cached_property
+    def derived_curvatures(self):
+        return derived_curvatures(self.R, self.S, self.kappa, self.metric.g,
+                                  self.lam)
+
+    S = property(lambda self: self.ricci_family[0])
+    kappa = property(lambda self: self.ricci_family[1])
+    S2 = property(lambda self: self.ricci_family[2])
+    C = property(lambda self: self.derived_curvatures[0])
+    P = property(lambda self: self.derived_curvatures[1])
+    W = property(lambda self: self.derived_curvatures[2])
+    K = property(lambda self: self.derived_curvatures[3])
+    T = property(lambda self: self.derived_curvatures[4])
+
+    @cached_property
+    def nabla_R(self) -> ComponentTensor:
+        return covariant_derivative(self.R, self.gamma, self.coords)
+
+    @cached_property
+    def nabla_C(self) -> ComponentTensor:
+        return covariant_derivative(self.C, self.gamma, self.coords)
+
+    @cached_property
+    def nabla_S(self) -> ComponentTensor:
+        return covariant_derivative(self.S, self.gamma, self.coords)
 
     def tensor(self, name: str) -> ComponentTensor:
         if name not in TENSORS:
@@ -152,15 +179,8 @@ class CurvatureBundle:
 
 def build_bundle(metric: MetricData, coords: Sequence[str],
                  lam=0) -> CurvatureBundle:
-    gamma = christoffel(metric, coords)
-    R = riemann(gamma, metric, coords)
-    S, kappa, S2 = ricci_family(R, metric)
-    lam_e = lam if isinstance(lam, Expr) else ec.const(Fraction(lam))
-    C, P, W, K, T = derived_curvatures(R, S, kappa, metric.g, lam_e)
-    nabla_R = covariant_derivative(R, gamma, coords)
-    nabla_C = covariant_derivative(C, gamma, coords)
-    nabla_S = covariant_derivative(S, gamma, coords)
-    return CurvatureBundle(metric=metric, coords=list(coords), gamma=gamma,
-                           R=R, S=S, kappa=kappa, S2=S2, C=C, P=P, W=W,
-                           K=K, nabla_R=nabla_R, nabla_C=nabla_C,
-                           nabla_S=nabla_S, T=T)
+    """The bundle with every tensor built, in the order of the layers."""
+    bundle = CurvatureBundle(metric, coords, lam)
+    for name in TENSORS:
+        bundle.tensor(name)
+    return bundle

@@ -20,11 +20,10 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from types import SimpleNamespace
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-import mpmath
 import numpy as np
 
 FUNCTIONS = ("sin", "cos", "tan", "cot", "sqrt", "exp", "log", "abs")
@@ -467,12 +466,13 @@ def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
 EVAL_PRECISION_BITS = 100  # well above the 80-bit contract
 
 
-def evaluate(f: Expr, binding) -> mpmath.mpf:
-    """High-precision numeric value of f under a binding of all free
+def evaluate(f: Expr, binding):
+    """High-precision (mpmath) value of f under a binding of all free
     symbols; raises DomainError outside f's domain."""
+    import mpmath
     with mpmath.workprec(EVAL_PRECISION_BITS):
         values = {k: mpmath.mpf(v) for k, v in dict(binding).items()}
-        return _walk(f, values, {}, _MP)
+        return _walk(f, values, {}, _mp_arithmetic())
 
 
 def eval_float(f: Expr, values: Mapping[str, object], memo: dict):
@@ -512,24 +512,37 @@ def _walk(f: Expr, values, memo: dict, arith):
     return out
 
 
-def _mp_pow(f: Expr, b):
-    p = f.exponent
-    if b == 0 and p < 0:
-        raise DomainError("division by zero", f, b)
-    if b < 0 and p.denominator != 1:
-        raise DomainError("fractional power of a negative value", f, b)
-    if p.denominator == 1:
-        return b ** p.numerator
-    return mpmath.power(b, mpmath.mpf(p.numerator) / p.denominator)
+@cache
+def _mp_arithmetic() -> SimpleNamespace:
+    """evaluate's arithmetic, built on first use: mpmath is imported only
+    when something evaluates at 100 bits, which no CLI subcommand does."""
+    import mpmath
+    functions = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+                 "tan": lambda u: mpmath.sin(u) / mpmath.cos(u),
+                 "cot": lambda u: mpmath.cos(u) / mpmath.sin(u),
+                 "log": mpmath.log, "abs": abs}
 
+    def power(f: Expr, b):
+        p = f.exponent
+        if b == 0 and p < 0:
+            raise DomainError("division by zero", f, b)
+        if b < 0 and p.denominator != 1:
+            raise DomainError("fractional power of a negative value", f, b)
+        if p.denominator == 1:
+            return b ** p.numerator
+        return mpmath.power(b, mpmath.mpf(p.numerator) / p.denominator)
 
-def _mp_call(f: Expr, u):
-    if f.fname == "log" and u <= 0:
-        raise DomainError("log of a non-positive value", f, u)
-    try:
-        return _MP_FUNCTIONS[f.fname](u)
-    except ZeroDivisionError:
-        raise DomainError(f"{f.fname} at a pole", f, u) from None
+    def call(f: Expr, u):
+        if f.fname == "log" and u <= 0:
+            raise DomainError("log of a non-positive value", f, u)
+        try:
+            return functions[f.fname](u)
+        except ZeroDivisionError:
+            raise DomainError(f"{f.fname} at a pole", f, u) from None
+
+    return SimpleNamespace(
+        one=mpmath.mpf(1), sum=mpmath.fsum, pow=power, call=call,
+        const=lambda v: mpmath.mpf(v.numerator) / v.denominator)
 
 
 def _each(fn, u, arg):
@@ -560,19 +573,12 @@ def _call(u: float, fn) -> float:
         return math.inf             # only exp overflows
 
 
-_MP_FUNCTIONS = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
-                 "tan": lambda u: mpmath.sin(u) / mpmath.cos(u),
-                 "cot": lambda u: mpmath.cos(u) / mpmath.sin(u),
-                 "log": mpmath.log, "abs": abs}
 _FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
                     "tan": math.tan,
                     "cot": lambda u: math.cos(u) / math.sin(u),
                     "log": math.log, "abs": abs}
 # evaluate's arithmetic raises DomainError at the node; eval_float's gives
 # NaN at the entry
-_MP = SimpleNamespace(
-    one=mpmath.mpf(1), sum=mpmath.fsum, pow=_mp_pow, call=_mp_call,
-    const=lambda v: mpmath.mpf(v.numerator) / v.denominator)
 _FLOAT = SimpleNamespace(
     one=1.0, sum=lambda terms: reduce(operator.iadd, terms, 0.0),
     const=lambda v: v.numerator / v.denominator,

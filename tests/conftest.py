@@ -1,13 +1,29 @@
 """Shared fixtures: classified reports for the built-in metrics, and the
 sympy curvature oracles for their two metric forms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import curvkit
 from curvkit.catalog import builtin, reference_coefficient_forms
 from curvkit.classify import classify_metric
 from curvkit.curvature import build_bundle
 from curvkit.tensor import invert_metric
 from oracles import SympyCurvature, f, ingoing, static_spherical
+
+
+def fresh_python(*args) -> subprocess.CompletedProcess:
+    """`python *args` in a new process that imports this checkout's
+    curvkit: nothing is interned or imported from the test session."""
+    src = str(Path(curvkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, check=True)
 
 
 def classified(metric_id):

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
 from curvkit import cli
+from curvkit import curvature as cv
 from curvkit import exprcore as ec
 
 GOOD = """\
@@ -115,6 +117,62 @@ def test_components_unknown_tensor_exits_2(capsys):
     assert "unknown tensor 'bogus'" in err and "nabla_S" in err
 
 
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Record what the bundle layers return and what they are called on."""
+    calls = {"riemann": [], "ricci_family": [], "derived_curvatures": [],
+             "covariant_derivative": []}
+
+    def counting(name):
+        fn = getattr(cv, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append((args, out))
+            return out
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(cv, name, counting(name))
+    return calls
+
+
+@pytest.mark.parametrize("tensor", ["g", "R", "S", "S2", "kappa", "C", "P",
+                                    "W", "K", "T", "nabla_R", "nabla_C",
+                                    "nabla_S"])
+def test_components_builds_only_what_it_needs(tensor, layer_calls, tmp_path,
+                                              capsys):
+    assert cli.run(["components", "--metric", "schwarzschild", "--tensor",
+                    tensor, "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    derived = 0 if tensor in ("g", "R", "S", "S2", "kappa", "nabla_R",
+                              "nabla_S") else 1
+    assert len(layer_calls["derived_curvatures"]) == derived
+    nabla = layer_calls["covariant_derivative"]
+    if not tensor.startswith("nabla_"):
+        assert nabla == []
+        return
+    # one covariant derivative, taken of the very tensor its name names
+    (args, _), = nabla
+    source = {"nabla_R": layer_calls["riemann"],
+              "nabla_S": layer_calls["ricci_family"],
+              "nabla_C": layer_calls["derived_curvatures"]}[tensor]
+    (_, built), = source
+    assert args[0] is (built if tensor == "nabla_R" else built[0])
+
+
+def test_cli_never_imports_mpmath(tmp_path):
+    # mpmath serves only exprcore.evaluate, which no subcommand calls
+    out = str(tmp_path / "out.json")
+    code = ("import sys\nfrom curvkit import cli\n"
+            f"assert cli.run(['classify', '--metric', 'minkowski', "
+            f"'--out', {out!r}]) == 0\n"
+            f"assert cli.run(['components', '--metric', 'bardeen', "
+            f"'--tensor', 'nabla_C', '--out', {out!r}]) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+    assert fresh_python("-c", code).stdout.decode() == "False\n"
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -200,6 +258,21 @@ def test_numerically_singular_metric_file_exits_2(tmp_path, capsys):
     assert cli.run(["classify", "--metric", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: metric 'identity' is singular or not finite at all probe "
+        "points"]
+
+
+def test_singular_metric_file_with_large_entries_exits_2(tmp_path, capsys):
+    # det = (sin(r)^2 + cos(r)^2 - 1)*r^4 vanishes, but its rounding noise
+    # at r in [1000, 2000] is far above an absolute threshold; the probe
+    # scales each row of g to a largest |entry| of 1 first
+    path = tmp_path / "large.metric"
+    path.write_text("dim 4\ncoords t r theta phi\nrange r 1000 2000\n"
+                    "g[0][0] = (sin(r)^2+cos(r)^2)*r^4\ng[0][1] = r^2\n"
+                    "g[1][1] = 1\ng[2][2] = r^2\n"
+                    "g[3][3] = r^2*sin(theta)^2\n")
+    assert cli.run(["classify", "--metric", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: metric 'large' is singular or not finite at all probe "
         "points"]
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import fresh_python
 from curvkit import cli
 from curvkit.catalog import reference_component_checks
 from curvkit.classify import compare_metrics, verify_component_tables
@@ -64,6 +65,17 @@ def test_components_dump_matches_digest(metric_id, tensor):
         assert cli.run(["components", "--metric", metric_id,
                         "--tensor", tensor]) == 0
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == committed("components_sha256.json")[metric_id][tensor]
+
+
+@pytest.mark.parametrize("metric_id, tensor", [
+    ("reissner_nordstrom", "nabla_C"), ("bardeen", "kappa")])
+def test_cold_components_dump_matches_digest(metric_id, tensor):
+    # a fresh process builds only this tensor's layers, in its own intern
+    # table, and must print the same bytes as the warm in-process dumps
+    out = fresh_python("-m", "curvkit.cli", "components", "--metric",
+                       metric_id, "--tensor", tensor).stdout
+    digest = hashlib.sha256(out).hexdigest()
     assert digest == committed("components_sha256.json")[metric_id][tensor]
 
 
