@@ -14,7 +14,11 @@ checkout it measures.
 The output file holds every run's JSON line and, per workload and
 end-to-end metric, each side's median and quartiles, the pairs the change
 won (ties count for neither side) and the change's worsening against the
-metric's bound from BENCHMARK.json.  The temporary directory is removed
+metric's bound from BENCHMARK.json.  Per workload and side it also gives
+the failed requests in all runs and the requests attempted per run (min,
+median, max): req_tail_s is an order statistic of the request times, so a
+side that completes more requests can read a higher tail without any
+request being slower.  The temporary directory is removed
 afterwards, also when a run fails.
 
 A run that exits nonzero, times out or reports failed requests is named on
@@ -100,8 +104,15 @@ def summarise(runs, end_to_end):
             if r["workload"] == workload:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
         pairs = [p for _, p in sorted(pairs.items())]
+        sides = ("parent", "change")
         rows = {"failed": {side: sum(p[side]["failed"] for p in pairs)
-                           for side in ("parent", "change")}}
+                           for side in sides}}
+        rows["attempted"] = {}
+        for side in sides:
+            counts = [p[side]["attempted"] for p in pairs]
+            rows["attempted"][side] = {"min": min(counts),
+                                       "median": statistics.median(counts),
+                                       "max": max(counts)}
         for m in end_to_end:
             name, sign = m["name"], 1 if m["better"] == "lower" else -1
             par = [p["parent"]["metrics"][name]["value"] for p in pairs]

@@ -10,6 +10,10 @@ reproduces the component tables used by the regression suite.
 Each layer is an array formula (einsum, @, transposes) over `partials`, the
 one caller of `differentiate`.  Sums are canonical in any order or grouping;
 products are not, so each formula keeps the grouping of its index sum.
+
+Each derived tensor has one formula of its own inputs (K of R and g^S, C
+of K and g^g, W of R and g^g, P of R, S and g, T of S, kappa and g), and
+derived_curvatures composes the five.
 """
 
 from __future__ import annotations
@@ -64,30 +68,62 @@ def ricci_family(R: ComponentTensor, metric: MetricData):
     return ComponentTensor(S, 2, n), kappa, ComponentTensor(S2, 2, n)
 
 
+def _dim(t: ComponentTensor) -> int:
+    if t.dim < 3:
+        raise tn.TensorError("derived curvatures need dimension >= 3")
+    return t.dim
+
+
+def conharmonic(R: ComponentTensor, gS: ComponentTensor) -> ComponentTensor:
+    """K = R - (g ^ S)/(n - 2), from R and the wedge gS = g ^ S."""
+    n = _dim(R)
+    return ComponentTensor(R.data + gS.data / (2 - n), 4, n)
+
+
+def conformal(K: ComponentTensor, gg: ComponentTensor,
+              kappa) -> ComponentTensor:
+    """Weyl's C = K + kappa/(2(n-1)(n-2)) g ^ g, from K and gg = g ^ g."""
+    n = _dim(K)
+    return ComponentTensor(
+        K.data + gg.data * (kappa / (2 * (n - 1) * (n - 2))), 4, n)
+
+
+def concircular(R: ComponentTensor, gg: ComponentTensor,
+                kappa) -> ComponentTensor:
+    """W = R - kappa/(2n(n-1)) g ^ g, from R and gg = g ^ g."""
+    n = _dim(R)
+    return ComponentTensor(
+        R.data + gg.data * (-kappa / (2 * n * (n - 1))), 4, n)
+
+
+def projective(R: ComponentTensor, S: ComponentTensor,
+               g: ComponentTensor) -> ComponentTensor:
+    """P_hijk = R_hijk + (S_hj g_ik - S_ij g_hk) / (n - 1)."""
+    n = _dim(R)
+    s, m = S.data, g.data
+    return ComponentTensor(
+        R.data + (s[:, None, :, None] * m[None, :, None, :]
+                  - s[None, :, :, None] * m[:, None, None, :]) / (n - 1),
+        4, n)
+
+
+def energy_momentum(S: ComponentTensor, kappa, g: ComponentTensor,
+                    lam) -> ComponentTensor:
+    """T = S - (kappa/2) g + Lambda g (geometric units with the coupling
+    constant set to 1)."""
+    return ComponentTensor(S.data + g.data * (lam - kappa / 2), 2, g.dim)
+
+
 def derived_curvatures(R: ComponentTensor, S: ComponentTensor, kappa,
                        g: ComponentTensor, lam=0):
-    """Conformal C, projective P, concircular W, conharmonic K, and the
-    energy-momentum tensor T = S - (kappa/2) g + Lambda g (geometric units
-    with the coupling constant set to 1).
+    """(C, P, W, K, T), composed from the per-tensor formulas above.
 
     Symbolic (kappa and lam Expr or rational) and evaluated (floats)
     tensors go through the same array formulas."""
-    n = g.dim
-    if n < 3:
-        raise tn.TensorError("derived curvatures need dimension >= 3")
-    gg = tn.kulkarni_nomizu(g, g).data
-    gS = tn.kulkarni_nomizu(g, S).data
-    r, s, m = R.data, S.data, g.data
-    K = r + gS / (2 - n)             # R - (g^S)/(n-2)
-    C = K + gg * (kappa / (2 * (n - 1) * (n - 2)))
-    W = r + gg * (-kappa / (2 * n * (n - 1)))
-    # P_hijk = R_hijk + (S_hj g_ik - S_ij g_hk) / (n - 1)
-    P = r + (s[:, None, :, None] * m[None, :, None, :]
-             - s[None, :, :, None] * m[:, None, None, :]) / (n - 1)
-    T = s + m * (lam - kappa / 2)
-    return (ComponentTensor(C, 4, n), ComponentTensor(P, 4, n),
-            ComponentTensor(W, 4, n), ComponentTensor(K, 4, n),
-            ComponentTensor(T, 2, n))
+    gg = tn.kulkarni_nomizu(g, g)
+    K = conharmonic(R, tn.kulkarni_nomizu(g, S))
+    return (conformal(K, gg, kappa), projective(R, S, g),
+            concircular(R, gg, kappa), K, energy_momentum(S, kappa, g, lam))
 
 
 def covariant_derivative(T: ComponentTensor, gamma: np.ndarray,
@@ -144,19 +180,24 @@ class CurvatureBundle:
     def ricci_family(self):
         return ricci_family(self.R, self.metric)
 
-    @cached_property
-    def derived_curvatures(self):
-        return derived_curvatures(self.R, self.S, self.kappa, self.metric.g,
-                                  self.lam)
-
     S = property(lambda self: self.ricci_family[0])
     kappa = property(lambda self: self.ricci_family[1])
     S2 = property(lambda self: self.ricci_family[2])
-    C = property(lambda self: self.derived_curvatures[0])
-    P = property(lambda self: self.derived_curvatures[1])
-    W = property(lambda self: self.derived_curvatures[2])
-    K = property(lambda self: self.derived_curvatures[3])
-    T = property(lambda self: self.derived_curvatures[4])
+
+    # each derived tensor from its own inputs; g^g and g^S are shared
+    g_wedge_g = cached_property(
+        lambda self: tn.kulkarni_nomizu(self.metric.g, self.metric.g))
+    g_wedge_S = cached_property(
+        lambda self: tn.kulkarni_nomizu(self.metric.g, self.S))
+    K = cached_property(lambda self: conharmonic(self.R, self.g_wedge_S))
+    C = cached_property(
+        lambda self: conformal(self.K, self.g_wedge_g, self.kappa))
+    W = cached_property(
+        lambda self: concircular(self.R, self.g_wedge_g, self.kappa))
+    P = cached_property(
+        lambda self: projective(self.R, self.S, self.metric.g))
+    T = cached_property(lambda self: energy_momentum(
+        self.S, self.kappa, self.metric.g, self.lam))
 
     @cached_property
     def nabla_R(self) -> ComponentTensor:

@@ -122,25 +122,40 @@ class Expr:
     def is_zero(self) -> bool:
         return self.kind == "const" and self.value == 0
 
-    # arithmetic sugar so tensor code reads naturally
+    # arithmetic sugar so tensor code reads naturally.  Object-array
+    # einsums and broadcasts run mostly on structural zeros (and on the int
+    # 0 an object einsum starts from), so a zero operand returns at once
+    # the node that add, mul or div would build
     def __add__(self, other):
-        return add(self, _coerce(other))
+        other = _coerce(other)
+        if other is ZERO:
+            return self
+        if self is ZERO:
+            return other
+        return add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
+        other = _coerce(other)
+        return self if other is ZERO else self + neg(other)
 
     def __rsub__(self, other):
         return add(_coerce(other), neg(self))
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        other = _coerce(other)
+        if self is ZERO or other is ZERO:
+            return ZERO
+        return mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        other = _coerce(other)
+        if self is ZERO and other is not ZERO:
+            return ZERO
+        return div(self, other)
 
     def __rtruediv__(self, other):
         return div(_coerce(other), self)

@@ -61,3 +61,22 @@ def test_nonzero_exit_and_timeout_stop(bench, capsys):
         ns["run_once"]("root", "cli_mix", 1, 30, "W pair 0 change seed 1")
     assert capsys.readouterr().err.splitlines() == [
         "W pair 0 change seed 1: timed out after 600 s", "half a line"]
+
+
+def test_summary_gives_attempted_requests_per_run(bench):
+    # a side that completes more requests can read a higher req_tail_s
+    # with no slower request; the counts per run show it
+    ns, _ = bench
+    end_to_end = [{"name": "req_tail_s", "unit": "s", "better": "lower",
+                   "bound": 0.25}]
+    attempted = {"parent": [41, 37, 45], "change": [55, 60, 58]}
+    runs = [{"workload": "point_sweep", "pair": pair, "side": side,
+             "result": {"failed": 0, "attempted": attempted[side][pair],
+                        "metrics": {"req_tail_s": {"value": 0.5}}}}
+            for pair in range(3) for side in ("parent", "change")]
+    rows = ns["summarise"](runs, end_to_end)["point_sweep"]
+    assert rows["attempted"] == {
+        "parent": {"min": 37, "median": 41, "max": 45},
+        "change": {"min": 55, "median": 58, "max": 60}}
+    assert rows["failed"] == {"parent": 0, "change": 0}
+    assert rows["req_tail_s"]["change_wins"] == 0

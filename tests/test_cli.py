@@ -12,6 +12,7 @@ from conftest import fresh_python
 from curvkit import cli
 from curvkit import curvature as cv
 from curvkit import exprcore as ec
+from curvkit import tensor as tn
 
 GOOD = """\
 dim 4
@@ -117,14 +118,25 @@ def test_components_unknown_tensor_exits_2(capsys):
     assert "unknown tensor 'bogus'" in err and "nabla_S" in err
 
 
+# the derived-curvature formulas the bundle calls, and the layers of
+# each components tensor: its formulas and its Kulkarni-Nomizu products
+# (g ^ S for K, g ^ g for W, both for C)
+DERIVED = ("conformal", "projective", "concircular", "conharmonic",
+           "energy_momentum")
+BUILDS = {"C": ({"conharmonic", "conformal"}, 2), "K": ({"conharmonic"}, 1),
+          "W": ({"concircular"}, 1), "P": ({"projective"}, 0),
+          "T": ({"energy_momentum"}, 0)}
+
+
 @pytest.fixture
 def layer_calls(monkeypatch):
     """Record what the bundle layers return and what they are called on."""
-    calls = {"riemann": [], "ricci_family": [], "derived_curvatures": [],
-             "covariant_derivative": []}
+    calls = {name: [] for name in ("riemann", "ricci_family",
+                                   "covariant_derivative", "kulkarni_nomizu",
+                                   *DERIVED)}
 
-    def counting(name):
-        fn = getattr(cv, name)
+    def counting(module, name):
+        fn = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
@@ -133,7 +145,8 @@ def layer_calls(monkeypatch):
         return wrapped
 
     for name in calls:
-        monkeypatch.setattr(cv, name, counting(name))
+        module = tn if name == "kulkarni_nomizu" else cv
+        monkeypatch.setattr(module, name, counting(module, name))
     return calls
 
 
@@ -145,9 +158,13 @@ def test_components_builds_only_what_it_needs(tensor, layer_calls, tmp_path,
     assert cli.run(["components", "--metric", "schwarzschild", "--tensor",
                     tensor, "--out", str(tmp_path / "out.json")]) == 0
     capsys.readouterr()
-    derived = 0 if tensor in ("g", "R", "S", "S2", "kappa", "nabla_R",
-                              "nabla_S") else 1
-    assert len(layer_calls["derived_curvatures"]) == derived
+    # each derived tensor is built once, from its own formulas only: T
+    # builds no wedge and no Weyl-family tensor, C and K build none of P,
+    # W and T, P builds no wedge
+    formulas, wedges = BUILDS.get(tensor.removeprefix("nabla_"), (set(), 0))
+    assert {name: len(layer_calls[name]) for name in DERIVED} \
+        == {name: int(name in formulas) for name in DERIVED}
+    assert len(layer_calls["kulkarni_nomizu"]) == wedges
     nabla = layer_calls["covariant_derivative"]
     if not tensor.startswith("nabla_"):
         assert nabla == []
@@ -156,9 +173,9 @@ def test_components_builds_only_what_it_needs(tensor, layer_calls, tmp_path,
     (args, _), = nabla
     source = {"nabla_R": layer_calls["riemann"],
               "nabla_S": layer_calls["ricci_family"],
-              "nabla_C": layer_calls["derived_curvatures"]}[tensor]
+              "nabla_C": layer_calls["conformal"]}[tensor]
     (_, built), = source
-    assert args[0] is (built if tensor == "nabla_R" else built[0])
+    assert args[0] is (built[0] if tensor == "nabla_S" else built)
 
 
 def test_cli_never_imports_mpmath(tmp_path):

@@ -377,3 +377,37 @@ def test_property_shared_derivative_memo(text, name):
             ec.differentiate(sub, name)
     assert ec.differentiate(e, name) is fresh
     assert ec.differentiate(e, name) is fresh
+
+
+@settings(max_examples=60, deadline=None)
+@given(expr_text())
+def test_property_zero_operand_short_cuts(text):
+    # the operators return at once on a zero operand (ZERO, or the int 0
+    # an object einsum starts from); each must be the node that add, mul
+    # and div build for the same operands
+    x = ec.parse_expr(text, {"x", "y"})
+    assert x + ec.ZERO is ec.add(x, ec.ZERO)
+    assert 0 + x is ec.add(ec.ZERO, x)
+    assert ec.ZERO + x is ec.add(ec.ZERO, x)
+    assert x - ec.ZERO is ec.add(x, ec.neg(ec.ZERO))
+    assert ec.ZERO - x is ec.add(ec.ZERO, ec.neg(x))
+    assert ec.ZERO * x is ec.mul(ec.ZERO, x)
+    assert x * 0 is ec.mul(x, ec.ZERO)
+    assert 0 * x is ec.mul(ec.ZERO, x)
+    if x is not ec.ZERO:
+        assert ec.ZERO / x is ec.div(ec.ZERO, x)
+    for zero in (ec.ZERO, 0):
+        with pytest.raises(ec.ExprError, match="division by zero"):
+            x / zero
+
+
+def test_zero_over_zero_raises():
+    with pytest.raises(ec.ExprError, match="division by zero"):
+        ec.ZERO / ec.ZERO
+    with pytest.raises(ec.ExprError, match="division by zero"):
+        ec.ZERO / 0
+    # a zero operand does not let a float into an expression
+    with pytest.raises(TypeError):
+        ec.ZERO * 0.5
+    with pytest.raises(TypeError):
+        ec.ZERO + 0.0

@@ -1,0 +1,108 @@
+"""Metamorphic invariance of verdicts: a builtin's metric file rewritten
+in other coordinates must get every verdict of the original.
+
+Each transformed file is built from the builtin's own text
+(`catalog.builtin_source`), so no hand-written copy can drift from it.
+The transforms here are the ones that hold today: a relabelling of the
+coordinates, and the ingoing form of a static metric, -f dt^2 - 2 dt dr
++ r^2 dOmega^2 (the dt of the static form shifted by the tortoise
+coordinate), also on an r range that crosses both of bardeen's horizons.
+"""
+
+import re
+from functools import cache
+
+import pytest
+
+from curvkit.catalog import builtin, builtin_source, parse_metric_source
+from curvkit.classify import classify_metric
+from curvkit.curvature import build_bundle
+from curvkit.tensor import invert_metric
+
+_ENTRY = re.compile(r"g\[(\d)\]\[(\d)\] = (.*)")
+
+
+def permuted(text: str, order) -> str:
+    """text with its coordinates listed in `order`, a permutation of the
+    coords line, and each g[i][j] moved to the new positions."""
+    lines = text.splitlines()
+    old = next(ln for ln in lines if ln.startswith("coords ")).split()[1:]
+    assert sorted(order) == sorted(old)
+    at = {name: order.index(name) for name in old}
+    out = []
+    for line in lines:
+        entry = _ENTRY.fullmatch(line)
+        if line.startswith("coords "):
+            line = "coords " + " ".join(order)
+        elif entry:
+            i, j = sorted(at[old[int(k)]] for k in entry.group(1, 2))
+            line = f"g[{i}][{j}] = {entry.group(3)}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def ingoing(text: str, r_range=None) -> str:
+    """A static text with g11 = 1/f in ingoing form: g01 = -1 and no g11,
+    optionally on another r range."""
+    out = []
+    for line in text.splitlines():
+        if line.startswith("g[1][1] = "):
+            line = "g[0][1] = -1"
+        elif line.startswith("range r ") and r_range:
+            line = "range r {} {}".format(*r_range)
+        out.append(line)
+    assert "g[0][1] = -1" in out
+    return "\n".join(out) + "\n"
+
+
+CASES = {
+    "bardeen_r_t_theta_phi": (
+        "bardeen", permuted(builtin_source("bardeen"),
+                            ["r", "t", "theta", "phi"])),
+    "bardeen_theta_phi_t_r": (
+        "bardeen", permuted(builtin_source("bardeen"),
+                            ["theta", "phi", "t", "r"])),
+    "bardeen_ingoing": ("bardeen", ingoing(builtin_source("bardeen"))),
+    "bardeen_ingoing_across_horizons": (
+        "bardeen", ingoing(builtin_source("bardeen"), (0.5, 3))),
+    "schwarzschild_r_first": (
+        "schwarzschild", permuted(builtin_source("schwarzschild"),
+                                  ["r", "t", "theta", "phi"])),
+}
+
+
+@cache
+def _loaded(metric_id: str, text: str):
+    spec = parse_metric_source(text, metric_id)
+    return spec, build_bundle(invert_metric(spec.g()), spec.coords)
+
+
+@cache
+def verdicts(metric_id: str, text: str, seed: int) -> dict:
+    spec, bundle = _loaded(metric_id, text)
+    report = classify_metric(spec, bundle, params=builtin(metric_id).defaults,
+                             count=12, seed=seed)
+    return {name: fit.verdict for name, fit in report.structures.items()}
+
+
+def test_transforms_rewrite_the_builtin_text():
+    # the transformed files are the builtin with only the intended lines
+    # changed
+    text = CASES["bardeen_theta_phi_t_r"][1]
+    assert "coords theta phi t r" in text
+    assert "g[2][2] = -(1 - 2*M*r^2/(e^2+r^2)^(3/2))" in text
+    assert "g[0][0] = r^2" in text and "g[1][1] = r^2*sin(theta)^2" in text
+    wide = CASES["bardeen_ingoing_across_horizons"][1]
+    assert "range r 0.5 3" in wide and "g[1][1]" not in wide
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_verdicts_do_not_depend_on_the_coordinates(case, seed):
+    metric_id, text = CASES[case]
+    want = verdicts(metric_id, builtin_source(metric_id), seed)
+    got = verdicts(metric_id, text, seed)
+    assert got.keys() == want.keys()
+    moved = {name: (want[name], got[name]) for name in want
+             if got[name] != want[name]}
+    assert moved == {}

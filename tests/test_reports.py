@@ -14,8 +14,9 @@ import pytest
 
 from conftest import fresh_python
 from curvkit import cli
-from curvkit.catalog import reference_component_checks
+from curvkit.catalog import BUILTIN_IDS, reference_component_checks
 from curvkit.classify import compare_metrics, verify_component_tables
+from curvkit.curvature import TENSORS
 
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 
@@ -52,14 +53,13 @@ def test_verify_report_reproduces(bardeen_classified):
     assert round_trip(res) == committed("verify_bardeen.json")
 
 
-@pytest.mark.parametrize("metric_id",
-                         ["schwarzschild", "bardeen", "reissner_nordstrom"])
-@pytest.mark.parametrize("tensor", ["S", "kappa", "nabla_R", "nabla_C"])
+@pytest.mark.parametrize("metric_id", BUILTIN_IDS)
+@pytest.mark.parametrize("tensor", TENSORS + ("kappa",))
 def test_components_dump_matches_digest(metric_id, tensor):
     # node identity: a kernel change that moves any symbolic node moves the
-    # printed components; reproduce_reports.py checks all 52 dumps.  The
-    # nabla_C dumps of bardeen and reissner_nordstrom are the largest
-    # (about 1 MB each), the printer's stress case
+    # printed components.  All 52 dumps, as reproduce_reports.py writes
+    # them; the nabla_C dumps of bardeen and reissner_nordstrom are the
+    # largest (about 1 MB each), the printer's stress case
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.run(["components", "--metric", metric_id,
