@@ -10,6 +10,7 @@ error.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -36,10 +37,18 @@ class MetricSpec:
     ranges: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     def coordinate_range(self, name: str) -> Tuple[float, float]:
-        return self.ranges.get(name, ec.default_range(name))
+        return self.ranges.get(name, default_range(name))
 
     def g(self) -> ComponentTensor:
         return ComponentTensor(self.components, 2, self.dim)
+
+
+def default_range(name: str) -> Tuple[float, float]:
+    """Sampling window of a symbol without a `range` line; angle-like names
+    stay inside (0, pi)."""
+    if name.startswith("theta"):
+        return (0.3, math.pi - 0.3)
+    return (1.0, 3.0)
 
 
 # each builtin as metric-file text, with its parameter defaults
@@ -106,6 +115,9 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
     coords: Optional[List[str]] = None
     params: List[str] = []
     ranges: Dict[str, Tuple[float, float]] = {}
+    # lines of the name lists and ranges, for the checks after the loop
+    names_at: Dict[str, int] = {}
+    range_at: Dict[str, int] = {}
     entries: Dict[Tuple[int, int], Tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -116,17 +128,27 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
             try:
                 dim = int(rest)
             except ValueError:
+                dim = 0
+            if dim < 1:
                 raise CatalogError(f"line {lineno}: bad dimension {rest!r}")
         elif head == "coords":
-            coords = rest.split()
+            coords, names_at["coords"] = rest.split(), lineno
         elif head == "params":
-            params = rest.split()
+            params, names_at["params"] = rest.split(), lineno
         elif head == "range":
             parts = rest.split()
             if len(parts) != 3:
                 raise CatalogError(f"line {lineno}: range needs "
                                    "'range <coord> <lo> <hi>'")
-            ranges[parts[0]] = (float(parts[1]), float(parts[2]))
+            try:
+                lo, hi = float(parts[1]), float(parts[2])
+            except ValueError:
+                lo = hi = math.nan
+            if not -math.inf < lo < hi < math.inf:
+                raise CatalogError(f"line {lineno}: range bounds must be "
+                                   f"finite numbers with lo < hi, got "
+                                   f"{parts[1]} {parts[2]}")
+            ranges[parts[0]], range_at[parts[0]] = (lo, hi), lineno
         elif head.startswith("g["):
             lhs, eq, expr_text = line.partition("=")
             if not eq:
@@ -159,7 +181,18 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
     if len(coords) != dim:
         raise CatalogError(f"expected {dim} coordinate names, got "
                            f"{len(coords)}")
-    allowed = set(coords) | set(params)
+    kinds: Dict[str, str] = {}
+    for kind, names in (("coords", coords), ("params", params)):
+        for name in names:
+            if name in kinds:
+                raise CatalogError(f"line {names_at[kind]}: '{name}' is "
+                                   f"already declared in {kinds[name]}")
+            kinds[name] = kind
+    for name in ranges:
+        if name not in kinds:
+            raise CatalogError(f"line {range_at[name]}: range of "
+                               f"undeclared name '{name}'")
+    allowed = set(kinds)
     comps = np.empty((dim, dim), dtype=object)
     comps[...] = ec.ZERO
     for (i, j), (expr_text, lineno) in entries.items():

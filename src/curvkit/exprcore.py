@@ -5,23 +5,18 @@ rational constants and rational exponents.  Construction always canonicalizes
 (sums and products flattened and sorted, like terms collected, trivial powers
 removed), so structural identity doubles as canonical-form equality.
 
-One walk over the DAG evaluates an expression, in two arithmetics:
-`evaluate` at 100 bits (mpmath; DomainError outside the domain) and
-`eval_float` in float64, where a symbol may be bound to an array over
-points.  It computes each node once for all points with the bits of
-Python's scalar operations: sums from 0.0, products from 1.0, powers and
-functions entry by entry through `**` and `math` (numpy's differ in the
-last bit).  An entry outside the domain is NaN, an overflow inf.
+`eval_float` evaluates an expression in float64 by one walk over the DAG,
+where a symbol may be bound to an array over points.  It computes each
+node once for all points with the bits of Python's scalar operations: sums
+from 0.0, products from 1.0, powers and functions entry by entry through
+`**` and `math` (numpy's differ in the last bit).  An entry outside the
+domain is NaN, an overflow inf.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import random
 from fractions import Fraction
-from functools import cache, reduce
-from types import SimpleNamespace
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
@@ -54,15 +49,6 @@ class UnboundSymbolError(EvalError):
     def __init__(self, name: str):
         super().__init__(f"symbol '{name}' is not bound")
         self.name = name
-
-
-class DomainError(EvalError):
-    """Raised when a sub-expression is evaluated outside its domain."""
-
-    def __init__(self, message: str, subexpr: "Expr", value):
-        super().__init__(f"{message} in {to_string(subexpr)} (argument {value})")
-        self.subexpr = subexpr
-        self.value = value
 
 
 class Expr:
@@ -247,7 +233,8 @@ def _const_pow(base: Fraction, exp: Fraction) -> Optional[Fraction]:
 def powr(base: Expr, exp) -> Expr:
     """Power with an exact rational exponent."""
     base = _coerce(base)
-    exp = Fraction(exp)
+    if not isinstance(exp, Fraction):
+        exp = Fraction(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -476,19 +463,7 @@ def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one walk over the DAG, in float64 or in 100-bit arithmetic
-
-EVAL_PRECISION_BITS = 100  # well above the 80-bit contract
-
-
-def evaluate(f: Expr, binding):
-    """High-precision (mpmath) value of f under a binding of all free
-    symbols; raises DomainError outside f's domain."""
-    import mpmath
-    with mpmath.workprec(EVAL_PRECISION_BITS):
-        values = {k: mpmath.mpf(v) for k, v in dict(binding).items()}
-        return _walk(f, values, {}, _mp_arithmetic())
-
+# evaluation: one float64 walk over the DAG
 
 def eval_float(f: Expr, values: Mapping[str, object], memo: dict):
     """Float64 value of f, each symbol bound to a float or to an array over
@@ -497,67 +472,39 @@ def eval_float(f: Expr, values: Mapping[str, object], memo: dict):
     got = memo.get(f)
     if got is None:
         with np.errstate(all="ignore"):
-            got = _walk(f, values, memo, _FLOAT)
+            got = _walk(f, values, memo)
     return got
 
 
-def _walk(f: Expr, values, memo: dict, arith):
+def _walk(f: Expr, values, memo: dict):
     got = memo.get(f)
     if got is not None:
         return got
     k = f.kind
     if k == "const":
-        out = arith.const(f.value)
+        out = f.value.numerator / f.value.denominator
     elif k == "sym":
         try:
             out = values[f.name]
         except KeyError:
             raise UnboundSymbolError(f.name) from None
     elif k == "add":
-        out = arith.sum([_walk(c, values, memo, arith) for c in f.children])
-    elif k == "mul":
-        out = arith.one
+        out = 0.0
         for c in f.children:
-            out *= _walk(c, values, memo, arith)
+            out += _walk(c, values, memo)
+    elif k == "mul":
+        out = 1.0
+        for c in f.children:
+            out *= _walk(c, values, memo)
     elif k == "pow":
-        out = arith.pow(f, _walk(f.children[0], values, memo, arith))
+        p = f.exponent
+        out = _each(_pow, _walk(f.children[0], values, memo),
+                    p.numerator / p.denominator)
     else:
-        out = arith.call(f, _walk(f.children[0], values, memo, arith))
+        out = _each(_call, _walk(f.children[0], values, memo),
+                    _FLOAT_FUNCTIONS[f.fname])
     memo[f] = out
     return out
-
-
-@cache
-def _mp_arithmetic() -> SimpleNamespace:
-    """evaluate's arithmetic, built on first use: mpmath is imported only
-    when something evaluates at 100 bits, which no CLI subcommand does."""
-    import mpmath
-    functions = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
-                 "tan": lambda u: mpmath.sin(u) / mpmath.cos(u),
-                 "cot": lambda u: mpmath.cos(u) / mpmath.sin(u),
-                 "log": mpmath.log, "abs": abs}
-
-    def power(f: Expr, b):
-        p = f.exponent
-        if b == 0 and p < 0:
-            raise DomainError("division by zero", f, b)
-        if b < 0 and p.denominator != 1:
-            raise DomainError("fractional power of a negative value", f, b)
-        if p.denominator == 1:
-            return b ** p.numerator
-        return mpmath.power(b, mpmath.mpf(p.numerator) / p.denominator)
-
-    def call(f: Expr, u):
-        if f.fname == "log" and u <= 0:
-            raise DomainError("log of a non-positive value", f, u)
-        try:
-            return functions[f.fname](u)
-        except ZeroDivisionError:
-            raise DomainError(f"{f.fname} at a pole", f, u) from None
-
-    return SimpleNamespace(
-        one=mpmath.mpf(1), sum=mpmath.fsum, pow=power, call=call,
-        const=lambda v: mpmath.mpf(v.numerator) / v.denominator)
 
 
 def _each(fn, u, arg):
@@ -592,63 +539,6 @@ _FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
                     "tan": math.tan,
                     "cot": lambda u: math.cos(u) / math.sin(u),
                     "log": math.log, "abs": abs}
-# evaluate's arithmetic raises DomainError at the node; eval_float's gives
-# NaN at the entry
-_FLOAT = SimpleNamespace(
-    one=1.0, sum=lambda terms: reduce(operator.iadd, terms, 0.0),
-    const=lambda v: v.numerator / v.denominator,
-    pow=lambda f, b: _each(_pow, b, f.exponent.numerator
-                           / f.exponent.denominator),
-    call=lambda f, u: _each(_call, u, _FLOAT_FUNCTIONS[f.fname]))
-
-
-# ---------------------------------------------------------------------------
-# probabilistic equality
-
-def default_range(name: str) -> Tuple[float, float]:
-    """Sampling window for a symbol; angle-like names stay inside (0, pi)."""
-    if name.startswith("theta"):
-        return (0.3, math.pi - 0.3)
-    return (1.0, 3.0)
-
-
-def sample_binding(names: Iterable[str], rng: random.Random,
-                   ranges: Optional[Mapping[str, Tuple[float, float]]] = None):
-    values = {}
-    for name in sorted(names):
-        lo, hi = (ranges or {}).get(name, default_range(name))
-        values[name] = rng.uniform(lo, hi)
-    return values
-
-
-def equal_probabilistic(f: Expr, g: Expr, trials: int = 8, seed: int = 0,
-                        ranges: Optional[Mapping[str, Tuple[float, float]]] = None,
-                        tol: float = 1e-10, retry_cap: int = 64) -> bool:
-    """Numeric equality at deterministic random bindings.
-
-    True iff |f-g| <= tol*(1+|f|+|g|) at every sampled binding; bindings that
-    hit a domain error are resampled up to retry_cap times.
-    """
-    if trials < 8:
-        raise ValueError("trials must be at least 8")
-    names = f.free_symbols() | g.free_symbols()
-    rng = random.Random(seed)
-    done = 0
-    failures = 0
-    while done < trials:
-        b = sample_binding(names, rng, ranges)
-        try:
-            fv = evaluate(f, b)
-            gv = evaluate(g, b)
-        except DomainError:
-            failures += 1
-            if failures > retry_cap:
-                raise
-            continue
-        if abs(fv - gv) > tol * (1 + abs(fv) + abs(gv)):
-            return False
-        done += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

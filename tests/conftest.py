@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import curvkit
 from curvkit.catalog import builtin, reference_coefficient_forms
@@ -14,6 +15,11 @@ from curvkit.classify import classify_metric
 from curvkit.curvature import build_bundle
 from curvkit.tensor import invert_metric
 from oracles import SympyCurvature, f, ingoing, static_spherical
+
+# the same examples on every run, and none replayed from earlier runs, so
+# an outcome does not depend on a `.hypothesis/` directory
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def fresh_python(*args) -> subprocess.CompletedProcess:

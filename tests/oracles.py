@@ -11,6 +11,7 @@ covariant derivatives carry the derivative index last.
 """
 
 import itertools
+import re
 from functools import cached_property
 
 import numpy as np
@@ -63,6 +64,24 @@ def tach_oracle(lam, eta):
                 - lam[body[s], b] * eta[tuple(kdx)]
         out[idx] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# printed expressions as sympy expressions
+
+_SYMPY_FUNCTIONS = {"sin": sp.sin, "cos": sp.cos, "tan": sp.tan,
+                    "cot": sp.cot, "exp": sp.exp, "log": sp.log,
+                    "sqrt": sp.sqrt, "abs": sp.Abs}
+
+
+def sympy_of(text):
+    """The sympy expression of infix text in curvkit's printed syntax:
+    `^` for powers, exact rationals, and the functions above.  Every other
+    name is a plain symbol, so `e` is a symbol, not Euler's number."""
+    local = {name: sp.Symbol(name)
+             for name in re.findall(r"[A-Za-z_]\w*", text)}
+    local.update(_SYMPY_FUNCTIONS)
+    return sp.parse_expr(text.replace("^", "**"), local_dict=local)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import pytest
 from conftest import fresh_python
 from curvkit import cli
 from curvkit import curvature as cv
-from curvkit import exprcore as ec
 from curvkit import tensor as tn
 
 GOOD = """\
@@ -78,6 +77,31 @@ def test_bad_metric_file_exits_2(tmp_path, capsys):
     path.write_text("dim 2\ncoords t r\ng[0][0] = 1 + *\n")
     assert cli.run(["classify", "--metric", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header, message", [
+    ("dim 4\ncoords t r theta phi\nrange r a 3\n",
+     "line 3: range bounds must be finite numbers with lo < hi, got a 3"),
+    ("dim 4\ncoords t r theta phi\nrange r 3 3\n",
+     "line 3: range bounds must be finite numbers with lo < hi, got 3 3"),
+    ("dim 4\ncoords t r theta phi\nrange r 1 inf\n",
+     "line 3: range bounds must be finite numbers with lo < hi, got 1 inf"),
+    ("dim 4\ncoords t r theta phi\nrange q 1 3\n",
+     "line 3: range of undeclared name 'q'"),
+    ("dim 0\ncoords t r theta phi\n", "line 1: bad dimension '0'"),
+    ("dim 4\ncoords t r r phi\n", "line 2: 'r' is already declared in coords"),
+    ("dim 4\ncoords t r theta phi\nparams t\n",
+     "line 3: 't' is already declared in coords")],
+    ids=["range_not_a_number", "range_empty", "range_infinite",
+         "range_undeclared", "dim_0", "duplicate_coordinate",
+         "parameter_named_like_a_coordinate"])
+def test_malformed_header_exits_2(tmp_path, capsys, header, message):
+    # each is one error line naming the line, not a traceback or a report
+    path = tmp_path / "bad.metric"
+    path.write_text(header + "g[0][0] = -1\ng[1][1] = 1\ng[2][2] = r^2\n"
+                    "g[3][3] = r^2\n")
+    assert cli.run(["classify", "--metric", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_help_exits_0(capsys):
@@ -179,7 +203,8 @@ def test_components_builds_only_what_it_needs(tensor, layer_calls, tmp_path,
 
 
 def test_cli_never_imports_mpmath(tmp_path):
-    # mpmath serves only exprcore.evaluate, which no subcommand calls
+    # numpy is curvkit's only runtime dependency; mpmath comes with sympy,
+    # which only the tests use, and no subcommand may pull either in
     out = str(tmp_path / "out.json")
     code = ("import sys\nfrom curvkit import cli\n"
             f"assert cli.run(['classify', '--metric', 'minkowski', "
@@ -291,24 +316,6 @@ def test_singular_metric_file_with_large_entries_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: metric 'large' is singular or not finite at all probe "
         "points"]
-
-
-@pytest.mark.parametrize("argv", [
-    ["classify", "--metric", "bardeen"],
-    ["compare", "--metric", "bardeen", "--metric", "reissner_nordstrom"],
-    ["verify", "--metric", "bardeen"],
-    ["components", "--metric", "bardeen", "--tensor", "kappa"]],
-    ids=lambda a: a[0])
-def test_subcommands_never_evaluate_at_high_precision(argv, tmp_path,
-                                                      monkeypatch, capsys):
-    # singularity is decided once, by the float load probe; no run reaches
-    # the 100-bit evaluate
-    def refuse(*_):
-        raise AssertionError("exprcore.evaluate called")
-
-    monkeypatch.setattr(ec, "evaluate", refuse)
-    assert cli.run([*argv, "--out", str(tmp_path / "out.json")]) == 0
-    capsys.readouterr()
 
 
 def test_sample_plan_error_counts_rejections(tmp_path, capsys):
