@@ -42,6 +42,48 @@ class MetricSpec:
     def g(self) -> ComponentTensor:
         return ComponentTensor(self.components, 2, self.dim)
 
+    def bind(self, params: Optional[Dict[str, float]]) -> Dict[str, float]:
+        """The defaults, overridden by params; every parameter that occurs
+        in g must get a value."""
+        unknown = set(params or ()) - set(self.params)
+        if unknown:
+            raise CatalogError(f"unknown parameters {sorted(unknown)}")
+        bound = dict(self.defaults, **(params or {}))
+        unbound = set().union(*(e.free_symbols()
+                                for e in self.components.flat))
+        unbound -= set(self.coords) | set(bound)
+        if unbound:
+            raise CatalogError(f"no value for the metric's parameters "
+                               f"{sorted(unbound)}")
+        return bound
+
+    def regular_points(self, names: List[str], bound: Dict[str, float],
+                       need: int, seed: int, floor: float = 0.0
+                       ) -> Tuple[List[Dict[str, float]], np.ndarray]:
+        """The first need points where g is finite, has |det| > 1e-12 with
+        each row divided by its largest |entry| (a test free of g's scale;
+        a norm would square and overflow) and |g00| >= floor.  Random(seed)
+        draws each of names in order, one candidate at a time, in batches
+        of need, with bound for the other symbols, for at most 200 * need
+        candidates.  Also returns the candidates counted by the first
+        check each failed: not finite, singular, below floor, none."""
+        rng = random.Random(seed)
+        points: List[Dict[str, float]] = []
+        tally = np.zeros(4, dtype=int)
+        while len(points) < need and tally.sum() < 200 * need:
+            cand = np.array([[rng.uniform(*self.coordinate_range(nm))
+                              for nm in names] for _ in range(need)])
+            m = self.g().evaluate(dict(zip(names, cand.T), **bound)).data
+            with np.errstate(all="ignore"):
+                scaled = m / np.abs(m).max(axis=2, keepdims=True)
+                why = np.select([~np.isfinite(m).all(axis=(1, 2)),
+                                 ~(np.abs(np.linalg.det(scaled)) > 1e-12),
+                                 np.abs(m[:, 0, 0]) < floor], [0, 1, 2], 3)
+            tally += np.bincount(why, minlength=4)
+            keep = np.flatnonzero(why == 3)[:need - len(points)]
+            points += [dict(zip(names, row)) for row in cand[keep].tolist()]
+        return points, tally
+
 
 def default_range(name: str) -> Tuple[float, float]:
     """Sampling window of a symbol without a `range` line; angle-like names
@@ -115,15 +157,21 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
     coords: Optional[List[str]] = None
     params: List[str] = []
     ranges: Dict[str, Tuple[float, float]] = {}
-    # lines of the name lists and ranges, for the checks after the loop
-    names_at: Dict[str, int] = {}
-    range_at: Dict[str, int] = {}
+    # the line of each directive that may occur once: dim, coords, params
+    # and range <name>
+    at: Dict[str, int] = {}
     entries: Dict[Tuple[int, int], Tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
+        if head in ("dim", "coords", "params", "range"):
+            key = " ".join(line.split()[:1 + (head == "range")])
+            if key in at:
+                raise CatalogError(f"line {lineno}: {key} already declared "
+                                   f"at line {at[key]}")
+            at[key] = lineno
         if head == "dim":
             try:
                 dim = int(rest)
@@ -132,9 +180,9 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
             if dim < 1:
                 raise CatalogError(f"line {lineno}: bad dimension {rest!r}")
         elif head == "coords":
-            coords, names_at["coords"] = rest.split(), lineno
+            coords = rest.split()
         elif head == "params":
-            params, names_at["params"] = rest.split(), lineno
+            params = rest.split()
         elif head == "range":
             parts = rest.split()
             if len(parts) != 3:
@@ -148,7 +196,7 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
                 raise CatalogError(f"line {lineno}: range bounds must be "
                                    f"finite numbers with lo < hi, got "
                                    f"{parts[1]} {parts[2]}")
-            ranges[parts[0]], range_at[parts[0]] = (lo, hi), lineno
+            ranges[parts[0]] = (lo, hi)
         elif head.startswith("g["):
             lhs, eq, expr_text = line.partition("=")
             if not eq:
@@ -179,18 +227,18 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
     if dim is None or coords is None:
         raise CatalogError("file must declare dim and coords")
     if len(coords) != dim:
-        raise CatalogError(f"expected {dim} coordinate names, got "
-                           f"{len(coords)}")
+        raise CatalogError(f"line {at['coords']}: expected {dim} coordinate "
+                           f"names, got {len(coords)}")
     kinds: Dict[str, str] = {}
     for kind, names in (("coords", coords), ("params", params)):
         for name in names:
             if name in kinds:
-                raise CatalogError(f"line {names_at[kind]}: '{name}' is "
+                raise CatalogError(f"line {at[kind]}: '{name}' is "
                                    f"already declared in {kinds[name]}")
             kinds[name] = kind
     for name in ranges:
         if name not in kinds:
-            raise CatalogError(f"line {range_at[name]}: range of "
+            raise CatalogError(f"line {at['range ' + name]}: range of "
                                f"undeclared name '{name}'")
     allowed = set(kinds)
     comps = np.empty((dim, dim), dtype=object)
@@ -204,7 +252,13 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
         comps[j, i] = e
     spec = MetricSpec(id=metric_id, dim=dim, coords=coords, params=params,
                       components=comps, ranges=ranges)
-    _probe_invertibility(spec)
+    # the load probe: g must be regular at 4 of the first 32 draws of seed
+    # 11 over the coordinates and the parameters.  The search runs in
+    # batches of 4, so it passes 32 draws exactly when it found fewer
+    _, tally = spec.regular_points(coords + params, {}, 4, 11)
+    if tally.sum() > 32:
+        raise CatalogError(f"metric '{metric_id}' is singular or not finite "
+                           f"at all probe points")
     return spec
 
 
@@ -218,24 +272,6 @@ def load_metric(path: str) -> MetricSpec:
     import os
     metric_id = os.path.splitext(os.path.basename(path))[0]
     return parse_metric_source(text, metric_id)
-
-
-def _probe_invertibility(spec: MetricSpec):
-    """g must be finite and invertible at 4 of 32 seeded points.  The det
-    is taken with each row divided by its largest |entry|, so the test does
-    not depend on the scale of g (a norm would square and overflow)."""
-    rng = random.Random(11)
-    names = spec.coords + spec.params
-    draws = np.array([[rng.uniform(*spec.coordinate_range(nm))
-                       for nm in names] for _ in range(32)])
-    m = spec.g().evaluate(dict(zip(names, draws.T), **spec.defaults)).data
-    with np.errstate(all="ignore"):
-        scaled = m / np.abs(m).max(axis=2, keepdims=True)
-        ok = np.isfinite(m).all(axis=(1, 2)) \
-            & (np.abs(np.linalg.det(scaled)) > 1e-12)
-    if ok.sum() < 4:
-        raise CatalogError(f"metric '{spec.id}' is singular or not finite "
-                           f"at all probe points")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ dropped.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -41,6 +40,7 @@ GRAM_CONDITION_LIMIT = 1e10
 RANK_CUTOFF = 1e-8
 NULLSPACE_CUTOFF = 1e-8
 METRIC_REGULARITY_FLOOR = 1e-3
+VERIFY_POINTS = 8
 
 
 class ClassifyError(Exception):
@@ -68,48 +68,21 @@ class SamplePlan:
 def build_sample_plan(spec: MetricSpec, params: Optional[Dict[str, float]] = None,
                       count: int = DEFAULT_POINTS,
                       seed: int = DEFAULT_SEED) -> SamplePlan:
-    """Draw count in-range points, resampling any point where the metric is
-    not finite (a domain error or an overflow), singular, or nearly
-    degenerate."""
+    """The first count regular points (MetricSpec.regular_points), with
+    |g00| at least METRIC_REGULARITY_FLOOR to keep away from horizons,
+    where components blow up."""
     if count < 4:
         raise ClassifyError("a sample plan needs at least 4 points")
-    bound = dict(spec.defaults)
-    if params:
-        unknown = set(params) - set(spec.params)
-        if unknown:
-            raise ClassifyError(f"unknown parameters {sorted(unknown)}")
-        bound.update(params)
-    unbound = set().union(*(e.free_symbols() for e in spec.components.flat))
-    unbound -= set(spec.coords) | set(bound)
-    if unbound:
-        raise ClassifyError(f"no value for the metric's parameters "
-                            f"{sorted(unbound)}")
-    rng = random.Random(seed)
-    points: List[Dict[str, float]] = []
-    tally = np.zeros(4, dtype=int)  # candidates by first check failed, 3: none
-    while len(points) < count:
-        if tally.sum() >= 200 * count:
-            raise ClassifyError(
-                f"could not find enough regular sample points: "
-                f"{tally.sum()} candidates drawn, {tally[0]} not finite "
-                f"(a domain error or an overflow), {tally[1]} with a "
-                f"singular det, {tally[2]} with |g00| below "
-                f"{METRIC_REGULARITY_FLOOR}")
-        # candidates in batches of count, drawn in the order of one at a
-        # time, so the first count regular ones are the plan
-        cand = np.array([[rng.uniform(*spec.coordinate_range(c))
-                          for c in spec.coords] for _ in range(count)])
-        gv = spec.g().evaluate(dict(zip(spec.coords, cand.T), **bound)).data
-        # the first check each candidate fails; the g00 floor keeps away
-        # from horizons, where components blow up
-        with np.errstate(all="ignore"):
-            why = np.select([~np.isfinite(gv).all(axis=(1, 2)),
-                             np.abs(np.linalg.det(gv)) < 1e-10,
-                             np.abs(gv[:, 0, 0]) < METRIC_REGULARITY_FLOOR],
-                            [0, 1, 2], 3)
-        tally += np.bincount(why, minlength=4)
-        keep = np.flatnonzero(why == 3)[:count - len(points)]
-        points += [dict(zip(spec.coords, row)) for row in cand[keep].tolist()]
+    bound = spec.bind(params)
+    points, tally = spec.regular_points(spec.coords, bound, count, seed,
+                                        METRIC_REGULARITY_FLOOR)
+    if len(points) < count:
+        raise ClassifyError(
+            f"could not find enough regular sample points: "
+            f"{tally.sum()} candidates drawn, {tally[0]} not finite "
+            f"(a domain error or an overflow), {tally[1]} with a "
+            f"singular det, {tally[2]} with |g00| below "
+            f"{METRIC_REGULARITY_FLOOR}")
     return SamplePlan(points=points, params=bound, seed=seed)
 
 
@@ -833,17 +806,17 @@ def check_values(kind: str, indices: Sequence[int], batch: PointBatch,
 
 def verify_component_tables(spec: MetricSpec, bundle: CurvatureBundle,
                             checks: List[Dict], lam: float = 0.0,
-                            count: int = 8, seed: int = DEFAULT_SEED) -> Dict:
-    """Compare published component values against the engine at random
-    points, to 1e-10 relative; re-verify every mismatching engine value
-    with the finite-difference oracle.
+                            seed: int = DEFAULT_SEED) -> Dict:
+    """Compare published component values against the engine at
+    VERIFY_POINTS sample points, to 1e-10 relative; re-verify every
+    mismatching engine value with the finite-difference oracle.
 
     The oracle recomputes only the factor tensors (R, S, kappa and what
     follows from them, nabla_R, nabla_C) from finite differences of the
     metric.  A wedge:, dot: or tach: entry is then formed with the engine's
     own product code, so its confirmation cannot catch an error in a
     product's convention."""
-    plan = build_sample_plan(spec, None, count, seed)
+    plan = build_sample_plan(spec, None, VERIFY_POINTS, seed)
     batch = evaluate_plan(bundle, plan)
     values, memo = dict(plan.binding(), Lambda=lam), {}
     allowed = set(spec.coords) | set(spec.params) | {"Lambda"}

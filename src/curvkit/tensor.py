@@ -96,7 +96,7 @@ def _det(m: np.ndarray) -> Expr:
 def invert_metric(g: ComponentTensor) -> MetricData:
     """Exact symbolic inverse via the adjugate.  Only a structurally zero
     determinant is rejected here; a metric file's g is checked numerically
-    for singularity when it is loaded (catalog._probe_invertibility)."""
+    for singularity when it is loaded (catalog.parse_metric_source)."""
     if g.valence != 2:
         raise TensorError("metric must be a (0,2) tensor")
     n = g.dim

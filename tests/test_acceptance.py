@@ -18,8 +18,8 @@ import sympy as sp
 import curvkit.exprcore as ec
 from curvkit import cli
 from curvkit.catalog import (builtin, reference_component_checks)
-from curvkit.classify import (DEFAULT_SEED, build_sample_plan, check_values,
-                              compare_metrics, evaluate_plan,
+from curvkit.classify import (DEFAULT_SEED, VERIFY_POINTS, build_sample_plan,
+                              check_values, compare_metrics, evaluate_plan,
                               verify_component_tables)
 from curvkit.curvature import build_bundle
 from curvkit.tensor import (dot_action, invert_metric, kulkarni_nomizu,
@@ -155,10 +155,10 @@ def close(a, b, rel):
 def test_criterion_01_component_regression(bardeen_classified,
                                            spherical_oracle):
     spec, bundle, _ = bardeen_classified
-    count, seed = 8, DEFAULT_SEED
+    seed = DEFAULT_SEED
     start = time.perf_counter()
     res = verify_component_tables(spec, bundle, reference_component_checks(),
-                                  count=count, seed=seed)
+                                  seed=seed)
     elapsed = time.perf_counter() - start
     mismatches = [c for c in res["checks"] if c["status"] == "mismatch"]
     all_logged = all(c.get("engine_confirmed_by_finite_differences") is True
@@ -178,7 +178,7 @@ def test_criterion_01_component_regression(bardeen_classified,
     at = spherical_oracle.evaluator(
         ("g", "ginv", "R", "S", "C", "T", "nabla_R", "nabla_C"),
         bardeen_lapse())
-    plan = build_sample_plan(spec, None, count, seed)
+    plan = build_sample_plan(spec, None, VERIFY_POINTS, seed)
     batch, tables = evaluate_plan(bundle, plan), {}
     refuted = set(PUBLISHED_TABLE_DEFECTS)
     failures = []

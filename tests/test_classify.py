@@ -8,7 +8,7 @@ import pytest
 
 from curvkit import classify as cl
 from curvkit import exprcore as ec
-from curvkit.catalog import builtin, parse_metric_source
+from curvkit.catalog import CatalogError, builtin, parse_metric_source
 from curvkit.classify import (ClassifyError, StructureReport,
                               build_sample_plan, classify_metric,
                               compare_metrics, direct_test, evaluate_plan,
@@ -92,9 +92,9 @@ def test_sample_plan_names_unbound_parameters():
     # a parameter of g with no value is an error before any sampling; the
     # declared parameter a does not occur in g and needs no value
     spec = parse_metric_source(UNBOUND, "unbound")
-    with pytest.raises(ClassifyError, match=r"\['M', 'e'\]"):
+    with pytest.raises(CatalogError, match=r"\['M', 'e'\]"):
         build_sample_plan(spec)
-    with pytest.raises(ClassifyError, match=r"\['e'\]"):
+    with pytest.raises(CatalogError, match=r"\['e'\]"):
         build_sample_plan(spec, {"M": 1.0})
     plan = build_sample_plan(spec, {"M": 1.0, "e": 0.5})
     assert plan.params == {"M": 1.0, "e": 0.5}

@@ -91,10 +91,26 @@ def test_bad_metric_file_exits_2(tmp_path, capsys):
     ("dim 0\ncoords t r theta phi\n", "line 1: bad dimension '0'"),
     ("dim 4\ncoords t r r phi\n", "line 2: 'r' is already declared in coords"),
     ("dim 4\ncoords t r theta phi\nparams t\n",
-     "line 3: 't' is already declared in coords")],
+     "line 3: 't' is already declared in coords"),
+    ("dim four\ncoords t r theta phi\n", "line 1: bad dimension 'four'"),
+    ("dim 4\ncoords t r theta phi\nrange r 1\n",
+     "line 3: range needs 'range <coord> <lo> <hi>'"),
+    ("dim 4\ncoords t r theta phi\ng[0][1] 1\n",
+     "line 3: missing '=' in component assignment"),
+    ("dim 4\ncoords t r theta phi\ng[0][x] = 1\n",
+     "line 3: bad component index 'g[0][x]'"),
+    ("dim 4\ncoords t r theta\n",
+     "line 2: expected 4 coordinate names, got 3"),
+    ("dim 4\ncoords t r theta phi\nrange r 1.5 3\nrange r 5 6\n",
+     "line 4: range r already declared at line 3"),
+    ("dim 4\ncoords t r theta phi\ndim 2\ncoords t r\n",
+     "line 3: dim already declared at line 1")],
     ids=["range_not_a_number", "range_empty", "range_infinite",
          "range_undeclared", "dim_0", "duplicate_coordinate",
-         "parameter_named_like_a_coordinate"])
+         "parameter_named_like_a_coordinate", "dim_not_an_integer",
+         "range_without_3_fields", "component_without_equals",
+         "bad_component_index", "coordinate_count", "repeated_range",
+         "repeated_dim"])
 def test_malformed_header_exits_2(tmp_path, capsys, header, message):
     # each is one error line naming the line, not a traceback or a report
     path = tmp_path / "bad.metric"
@@ -128,6 +144,21 @@ def test_components_kappa_and_tensor(tmp_path, capsys):
     assert data2["valence"] == 2
     assert set(data2["nonzero_components"]) == {"00", "11", "22", "33"}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tensor", ["S", "kappa"])
+def test_components_markdown_matches_json(tensor, capsys):
+    args = ["components", "--metric", "bardeen", "--tensor", tensor]
+    assert cli.run(args) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert cli.run([*args, "--format", "markdown"]) == 0
+    if tensor == "kappa":
+        body = [f"    kappa = {data['expression']}"]
+    else:
+        body = [f"    [{k}] = {v}"
+                for k, v in sorted(data["nonzero_components"].items())]
+    assert capsys.readouterr().out.splitlines() == [
+        f"# bardeen: {tensor}", "", *body]
 
 
 def test_components_unknown_tensor_exits_2(capsys):
@@ -265,13 +296,20 @@ def test_classify_metric_file_with_params(tmp_path, capsys):
     ([], "['M', 'e']"),
     (["--param", "M=1"], "['e']"),
 ])
-def test_classify_unbound_params_exit_1(tmp_path, capsys, params, missing):
+def test_classify_unbound_params_exit_2(tmp_path, capsys, params, missing):
     path = tmp_path / "regular.metric"
     path.write_text(GOOD)
-    assert cli.run(["classify", "--metric", str(path), *params]) == 1
+    assert cli.run(["classify", "--metric", str(path), *params]) == 2
     err = capsys.readouterr().err
     assert missing in err
     assert "sample points" not in err
+
+
+def test_unknown_parameter_exits_2(capsys):
+    assert cli.run(["classify", "--metric", "bardeen", "--param",
+                    "X=3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown parameters ['X']"]
 
 
 def write_metric(tmp_path, name, body):
@@ -329,6 +367,16 @@ def test_sample_plan_error_counts_rejections(tmp_path, capsys):
     assert "0 with a singular det, 0 with |g00| below" in err
 
 
+def test_curvature_not_finite_at_a_plan_point_exits_1(tmp_path, capsys):
+    # g is finite below r = 709.78, where exp(r) overflows, but S2 is not
+    path = write_metric(tmp_path, "steep", "range r 600 800\n"
+                        "g[0][0] = -exp(r)\ng[1][1] = 1\n")
+    assert cli.run(["classify", "--metric", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: S2 is not finite at sample point 0 {")
+
+
 @pytest.mark.parametrize("components, point", [
     # det = -1, but Q(g, R) meets inf - inf
     ("-r^150 r^150 r^(-150) r^(-150)", 1),
@@ -361,6 +409,40 @@ def test_verify_json_shape(tmp_path, capsys):
         if c["status"] == "mismatch":
             assert c["engine_confirmed_by_finite_differences"] is True
     capsys.readouterr()
+
+
+def test_verify_markdown_matches_json(capsys):
+    assert cli.run(["verify", "--metric", "bardeen"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert cli.run(["verify", "--metric", "bardeen", "--format",
+                    "markdown"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["# Component verification: bardeen", "",
+                         "90/135 published entries match the engine", ""]
+    assert (data["matched"], data["total"]) == (90, 135)
+    flags = [f"- FLAG {c['group']} {c['kind']} {c['indices']}: engine "
+             f"confirmed by finite differences"
+             for c in data["checks"] if c["status"] == "mismatch"]
+    assert len(flags) == 45
+    assert lines[4:] == flags
+
+
+def test_compare_markdown_matches_json(capsys):
+    args = ["compare", "--metric", "bardeen", "--metric",
+            "reissner_nordstrom"]
+    assert cli.run(args) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert cli.run([*args, "--format", "markdown"]) == 0
+    differing = [f"- {n}: bardeen={data['verdicts'][n]['bardeen']}, "
+                 f"reissner_nordstrom="
+                 f"{data['verdicts'][n]['reissner_nordstrom']}"
+                 for n in data["differing"]]
+    assert capsys.readouterr().out.splitlines() == [
+        "# Comparison: bardeen vs reissner_nordstrom", "",
+        "## Shared (holds)", "", *(f"- {n}" for n in data["shared_holds"]),
+        "", "## Shared (fails)", "",
+        *(f"- {n}" for n in data["shared_fails"]),
+        "", "## Differing", "", *differing]
 
 
 def test_compare_outputs(tmp_path, capsys):

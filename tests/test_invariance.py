@@ -6,14 +6,17 @@ Each transformed file is built from the builtin's own text
 The transforms here are the ones that hold today: a relabelling of the
 coordinates, and the ingoing form of a static metric, -f dt^2 - 2 dt dr
 + r^2 dOmega^2 (the dt of the static form shifted by the tortoise
-coordinate), also on an r range that crosses both of bardeen's horizons.
+coordinate), also on an r range that crosses both of bardeen's horizons;
+and flat space times a constant, run through the command line.
 """
 
+import json
 import re
 from functools import cache
 
 import pytest
 
+from curvkit import cli
 from curvkit.catalog import builtin, builtin_source, parse_metric_source
 from curvkit.classify import classify_metric
 from curvkit.curvature import build_bundle
@@ -106,3 +109,17 @@ def test_verdicts_do_not_depend_on_the_coordinates(case, seed):
     moved = {name: (want[name], got[name]) for name in want
              if got[name] != want[name]}
     assert moved == {}
+
+
+def test_rescaled_flat_space_classifies_as_minkowski(tmp_path, capsys):
+    # g = (2/1000) diag(-1, 1, 1, 1): the regularity test divides each row
+    # by its largest |entry|, so a small constant factor is not singular
+    path = tmp_path / "small.metric"
+    path.write_text(re.sub(r"= (.*)", r"= 2/1000*(\1)",
+                           builtin_source("minkowski")))
+    assert cli.run(["classify", "--metric", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["structures"]
+    assert cli.run(["classify", "--metric", "minkowski"]) == 0
+    want = json.loads(capsys.readouterr().out)["structures"]
+    assert [(s["name"], s["verdict"]) for s in got] == \
+        [(s["name"], s["verdict"]) for s in want]
