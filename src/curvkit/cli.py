@@ -103,17 +103,29 @@ def _cmd_components(args) -> int:
     return 0
 
 
-def _classify_one(selector: str, args) -> cf.StructureReport:
+def _classify_all(selectors: List[str], args) -> List[cf.StructureReport]:
+    """The report of each metric, with one shared --param list.  Every
+    option and each metric's parameters are checked before any symbolic
+    build; with two metrics, a parameter error names the metric."""
     if args.tol <= 0:
         raise UsageError("--tol must be positive")
     if args.points < 4:
         raise UsageError("--points must be at least 4")
-    spec = _resolve_metric(selector)
-    bundle = _build(spec, args.lam)
-    forms = catalog.reference_coefficient_forms(spec.id)
-    return cf.classify_metric(spec, bundle, _parse_params(args.param),
-                              count=args.points, tol=args.tol,
-                              seed=args.seed, reference_forms=forms)
+    specs = [_resolve_metric(m) for m in selectors]
+    params = _parse_params(args.param)
+    for spec in specs:
+        try:
+            spec.bind(params)
+        except catalog.CatalogError as exc:
+            if len(specs) == 1:
+                raise
+            raise catalog.CatalogError(
+                f"metric '{spec.id}': {exc}") from None
+    return [cf.classify_metric(
+        spec, _build(spec, args.lam), params, count=args.points,
+        tol=args.tol, seed=args.seed,
+        reference_forms=catalog.reference_coefficient_forms(spec.id))
+        for spec in specs]
 
 
 def _report_markdown(data: Dict) -> str:
@@ -134,7 +146,7 @@ def _report_markdown(data: Dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    report = _classify_one(args.metric[0], args)
+    report, = _classify_all(args.metric[:1], args)
     data = report.to_json()
     if args.format == "markdown":
         _emit(_report_markdown(data), args.out)
@@ -172,9 +184,7 @@ def _cmd_verify(args) -> int:
 def _cmd_compare(args) -> int:
     if len(args.metric) != 2:
         raise UsageError("compare needs exactly two --metric selectors")
-    rep_a = _classify_one(args.metric[0], args)
-    rep_b = _classify_one(args.metric[1], args)
-    comp = cf.compare_metrics(rep_a, rep_b)
+    comp = cf.compare_metrics(*_classify_all(args.metric, args))
     if args.format == "markdown":
         lines = [f"# Comparison: {comp['metrics'][0]} vs "
                  f"{comp['metrics'][1]}", "", "## Shared (holds)", ""]

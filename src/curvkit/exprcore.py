@@ -4,6 +4,9 @@ Expressions are immutable, hash-consed trees over named symbols with exact
 rational constants and rational exponents.  Construction always canonicalizes
 (sums and products flattened and sorted, like terms collected, trivial powers
 removed), so structural identity doubles as canonical-form equality.
+Canonicalizing is a pure function of interned inputs, so `mul` builds each
+product once per tuple of factors and keeps it in a memo that, like the
+intern table, lives as long as the process.
 
 `eval_float` evaluates an expression in float64 by one walk over the DAG,
 where a symbol may be bound to an array over points.  It computes each
@@ -162,6 +165,8 @@ _INTERN: Dict[tuple, Expr] = {}
 # a fixed interned node, so every differentiate call shares one memo)
 _CONSTS: Dict[object, Expr] = {}
 _DIFF_MEMO: Dict[str, Dict[Expr, Expr]] = {}
+# products by their coerced factors (see mul)
+_MUL_MEMO: Dict[Tuple[Expr, ...], Expr] = {}
 
 
 def _intern(kind, value=None, name=None, fname=None, exponent=None,
@@ -339,9 +344,20 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
+    """The canonical product, built once per tuple of factors: the memo
+    keys it on the coerced factors, which are interned and so hash by
+    identity, and lives as long as _INTERN."""
+    key = tuple(map(_coerce, factors))
+    got = _MUL_MEMO.get(key)
+    if got is None:
+        got = _MUL_MEMO[key] = _mul(key)
+    return got
+
+
+def _mul(factors: Tuple[Expr, ...]) -> Expr:
     # a zero factor zeroes the product and factors of one change nothing;
     # a canonical node is its own product, so a lone factor is returned
-    factors = [f for f in map(_coerce, factors) if f is not ONE]
+    factors = [f for f in factors if f is not ONE]
     if ZERO in factors:
         return ZERO
     if len(factors) <= 1:

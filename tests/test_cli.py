@@ -312,6 +312,44 @@ def test_unknown_parameter_exits_2(capsys):
         "error: unknown parameters ['X']"]
 
 
+@pytest.fixture
+def no_build(monkeypatch):
+    """A command that reaches the symbolic build fails with this error,
+    not with a usage error."""
+    def build_bundle(*args, **kwargs):
+        raise AssertionError("the curvature bundle was built")
+    monkeypatch.setattr(cv, "build_bundle", build_bundle)
+
+
+@pytest.mark.parametrize("param, message", [
+    ("X=3", "error: unknown parameters ['X']"),
+    ("M=abc", "error: bad numeric value in --param 'M=abc'"),
+])
+def test_parameter_errors_exit_before_the_build(no_build, capsys, param,
+                                                message):
+    assert cli.run(["classify", "--metric", "bardeen", "--param",
+                    param]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("metrics, param, message", [
+    (["bardeen", "reissner_nordstrom"], "M=2",
+     "error: metric 'reissner_nordstrom': unknown parameters ['M']"),
+    (["reissner_nordstrom", "bardeen"], "m=2",
+     "error: metric 'bardeen': unknown parameters ['m']"),
+    (["bardeen", "reissner_nordstrom"], "M=abc",
+     "error: bad numeric value in --param 'M=abc'"),
+])
+def test_compare_checks_both_metrics_parameters_first(no_build, capsys,
+                                                      metrics, param,
+                                                      message):
+    argv = ["compare", "--param", param]
+    for m in metrics:
+        argv += ["--metric", m]
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def write_metric(tmp_path, name, body):
     path = tmp_path / f"{name}.metric"
     path.write_text("dim 4\ncoords t r theta phi\n" + body

@@ -397,3 +397,65 @@ def test_zero_over_zero_raises():
         ec.ZERO * 0.5
     with pytest.raises(TypeError):
         ec.ZERO + 0.0
+
+
+# ---------------------------------------------------------------------------
+# the product memo
+
+def test_product_memo_holds_the_canonical_products():
+    # mul is a lookup in front of _mul; after the builtins' and Kerr's
+    # bundles, every product it keeps is the node _mul builds anew
+    from curvkit.catalog import BUILTIN_IDS, builtin, parse_metric_source
+    from curvkit.curvature import build_bundle
+    from curvkit.tensor import invert_metric
+    from test_exact_solutions import KERR
+    specs = [builtin(i) for i in BUILTIN_IDS]
+    assert len(specs) == 4
+    for spec in specs + [parse_metric_source(KERR, "kerr")]:
+        build_bundle(invert_metric(spec.g()), spec.coords)
+    entries = list(ec._MUL_MEMO.items())
+    assert len(entries) > 1000
+    moved = [key for key, node in entries if ec._mul(key) is not node]
+    assert moved == []
+
+
+def test_second_bundle_builds_no_product(monkeypatch):
+    from curvkit.catalog import builtin
+    from curvkit.curvature import build_bundle
+    from curvkit.tensor import invert_metric
+    spec = builtin("bardeen")
+    first = build_bundle(invert_metric(spec.g()), spec.coords)
+    built = []
+    uncached = ec._mul
+    monkeypatch.setattr(ec, "_mul", lambda key: built.append(key)
+                        or uncached(key))
+    second = build_bundle(invert_metric(spec.g()), spec.coords)
+    assert built == []
+    for name in ("R", "C", "nabla_R", "nabla_C", "nabla_S"):
+        pairs = zip(first.tensor(name).data.flat,
+                    second.tensor(name).data.flat)
+        assert all(a is b for a, b in pairs), name
+    # the wrapper is the one mul calls on a miss
+    ec.mul(ec.sym("memo_probe"), ec.sym("x"))
+    assert len(built) == 1
+
+
+def test_product_memo_keeps_floats_out():
+    # 1.0 == 1 with the same hash: a key of raw factors would let a float
+    # reach the memo entry of the int
+    x = ec.sym("x")
+    assert ec.mul(1, x) is x
+    with pytest.raises(TypeError, match="cannot use float"):
+        ec.mul(1.0, x)
+    with pytest.raises(TypeError, match="cannot use float"):
+        ec.mul(x, 1.0)
+
+
+@pytest.mark.parametrize("factor", [0.5, "2", None, [1], np.float64(2.0),
+                                    np.int64(2)])
+def test_product_rejects_other_factors(factor):
+    x = ec.sym("x")
+    with pytest.raises(TypeError, match="in a symbolic expression"):
+        ec.mul(x, factor)
+    with pytest.raises(TypeError, match="in a symbolic expression"):
+        ec.mul(factor)

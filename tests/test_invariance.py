@@ -7,10 +7,12 @@ The transforms here are the ones that hold today: a relabelling of the
 coordinates, and the ingoing form of a static metric, -f dt^2 - 2 dt dr
 + r^2 dOmega^2 (the dt of the static form shifted by the tortoise
 coordinate), also on an r range that crosses both of bardeen's horizons;
-and flat space times a constant, run through the command line.
+Schwarzschild in the isotropic radius; and flat space times a constant,
+run through the command line.
 """
 
 import json
+import math
 import re
 from functools import cache
 
@@ -58,6 +60,35 @@ def ingoing(text: str, r_range=None) -> str:
     return "\n".join(out) + "\n"
 
 
+def isotropic(text: str, mass: float) -> str:
+    """A static text in r rewritten in the isotropic radius rho, where
+    r = rho (1 + M/(2 rho))^2: r substituted in every entry, g11 times
+    (dr/drho)^2, on the rho range that maps onto the r range (outside the
+    horizon, with M = mass)."""
+    r_of = "(rho*(1 + M/(2*rho))^2)"
+    dr_drho = "((1 + M/(2*rho))*(1 - M/(2*rho)))"
+
+    def rho_of(r):
+        return (r - mass + math.sqrt(r * r - 2 * mass * r)) / 2
+
+    out = []
+    for line in text.splitlines():
+        entry = _ENTRY.fullmatch(line)
+        if line.startswith("coords "):
+            line = re.sub(r"\br\b", "rho", line)
+        elif line.startswith("range r "):
+            lo, hi = (rho_of(float(v)) for v in line.split()[2:])
+            line = f"range rho {lo!r} {hi!r}"
+        elif entry:
+            i, j, e = entry.groups()
+            e = re.sub(r"\br\b", r_of, e)
+            if i == j == "1":
+                e = f"({e})*{dr_drho}^2"
+            line = f"g[{i}][{j}] = {e}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
 CASES = {
     "bardeen_r_t_theta_phi": (
         "bardeen", permuted(builtin_source("bardeen"),
@@ -71,6 +102,9 @@ CASES = {
     "schwarzschild_r_first": (
         "schwarzschild", permuted(builtin_source("schwarzschild"),
                                   ["r", "t", "theta", "phi"])),
+    "schwarzschild_isotropic": (
+        "schwarzschild", isotropic(builtin_source("schwarzschild"),
+                                   builtin("schwarzschild").defaults["M"])),
 }
 
 
@@ -97,6 +131,12 @@ def test_transforms_rewrite_the_builtin_text():
     assert "g[0][0] = r^2" in text and "g[1][1] = r^2*sin(theta)^2" in text
     wide = CASES["bardeen_ingoing_across_horizons"][1]
     assert "range r 0.5 3" in wide and "g[1][1]" not in wide
+    iso = CASES["schwarzschild_isotropic"][1]
+    assert "coords t rho theta phi" in iso and not re.search(r"\br\b", iso)
+    m = builtin("schwarzschild").defaults["M"]
+    ends = re.search(r"range rho (\S+) (\S+)", iso).groups()
+    assert [float(v) * (1 + m / (2 * float(v))) ** 2 for v in ends] \
+        == pytest.approx([2.2, 4], rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
