@@ -11,7 +11,11 @@ whether a change moved any symbolic component.  reports/classify_sha256.json
 likewise holds the sha256 of what `curvkit classify --metric M --points P
 --seed S` prints for every builtin at 12, 48 and 192 points and seeds 42
 and 7, so that a change to the numeric path shows if it moves any bit of a
-classification.
+classification.  reports/generated_sha256.json extends both to the
+benchmark's generated corpus: for each shape of perfbench/gen.py drawn at
+seeds 1-3, the sha256 of its `classify` output and of its nabla_R, nabla_C
+and nabla_S dumps (rt_conformal's nabla_C is left out: that dump alone
+takes about 14 s).
 
 With --check nothing is written: every report is regenerated in memory and
 compared with the committed file byte for byte; the exit status is 1 and
@@ -23,16 +27,20 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 
 from curvkit import catalog, cli, curvature
 
-OUT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "reports")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT = os.path.join(ROOT, "reports")
 BUILTINS = catalog.BUILTIN_IDS
 TENSORS = curvature.TENSORS + ("kappa",)
 CLASSIFY_POINTS = (12, 48, 192)
 CLASSIFY_SEEDS = (42, 7)
+GENERATED_SEEDS = (1, 2, 3)
+GENERATED_DUMPS = ("nabla_R", "nabla_C", "nabla_S")
 JOBS = tuple((f"classify_{mid}.json", ["classify", "--metric", mid])
              for mid in BUILTINS) + (
     ("verify_bardeen.json", ["verify", "--metric", "bardeen"]),
@@ -75,6 +83,30 @@ def classify_digests():
             for mid in BUILTINS}
 
 
+def generated_digests():
+    """sha256 of `classify` and of the nabla dumps of each generated
+    metric, keyed by "<shape>_<seed>", then by "classify" or the tensor.
+    Each metric file is written under its key, which becomes its id."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import gen
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for shape in gen.SHAPES:
+            for seed in GENERATED_SEEDS:
+                name = f"{shape}_{seed}"
+                m = gen.generate(shape, random.Random(seed), name)
+                path = os.path.join(tmp, f"{name}.metric")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(m.text)
+                got = out[name] = {"classify": digest(
+                    ["classify", "--metric", path, *m.param_args()])}
+                for tensor in GENERATED_DUMPS:
+                    if (shape, tensor) != ("rt_conformal", "nabla_C"):
+                        got[tensor] = digest(["components", "--metric",
+                                              path, "--tensor", tensor])
+    return out
+
+
 def reports():
     """(file name, exit code, text) of every report.  The CLI ends stdout
     with a newline that the JSON text, as `--out` writes it, lacks."""
@@ -82,7 +114,8 @@ def reports():
         rc, text = run_cli(argv)
         yield fname, rc, text[:-1]
     for fname, digests in (("components_sha256.json", component_digests),
-                           ("classify_sha256.json", classify_digests)):
+                           ("classify_sha256.json", classify_digests),
+                           ("generated_sha256.json", generated_digests)):
         yield fname, 0, json.dumps(digests(), indent=2) + "\n"
 
 

@@ -7,7 +7,9 @@ Subcommands:
     compare     side-by-side classification of two metrics
 
 Exit codes: 0 success (flagged discrepancies do not fail the run),
-1 computation/domain error, 2 usage error.
+1 computation/domain error, 2 usage error, 141 stdout closed by its
+reader before the output was written (128 + SIGPIPE, the status a shell
+reports for a program that SIGPIPE ends).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -40,6 +43,15 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
         except ValueError:
             raise UsageError(f"bad numeric value in --param '{item}'")
     return out
+
+
+def _one_metric(args) -> str:
+    """The one --metric selector of a single-metric subcommand."""
+    first, *extra = args.metric
+    if extra:
+        raise UsageError(f"{args.command} takes one --metric; got also "
+                         + ", ".join(f"'{m}'" for m in extra))
+    return first
 
 
 def _resolve_metric(selector: str) -> catalog.MetricSpec:
@@ -68,7 +80,7 @@ def _json_dump(obj) -> str:
 
 
 def _cmd_components(args) -> int:
-    spec = _resolve_metric(args.metric[0])
+    spec = _resolve_metric(_one_metric(args))
     # lazy: the dump builds only the layers of the tensor it prints
     bundle = cv.CurvatureBundle(tn.invert_metric(spec.g()), spec.coords,
                                 args.lam)
@@ -146,7 +158,7 @@ def _report_markdown(data: Dict) -> str:
 
 
 def _cmd_classify(args) -> int:
-    report, = _classify_all(args.metric[:1], args)
+    report, = _classify_all([_one_metric(args)], args)
     data = report.to_json()
     if args.format == "markdown":
         _emit(_report_markdown(data), args.out)
@@ -156,7 +168,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _resolve_metric(args.metric[0])
+    spec = _resolve_metric(_one_metric(args))
     if spec.id != "bardeen":
         raise UsageError("verify has published reference tables only for "
                          "--metric bardeen")
@@ -226,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--metric", action="append", required=True,
                        help="builtin id or path to a metric file "
-                            "(repeatable for compare)")
+                            "(twice for compare)")
         for opt in options.split():
             p.add_argument(f"--{opt}", **_OPTIONS[opt])
         p.add_argument("--format", choices=("json", "markdown"),
@@ -236,10 +248,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first run: a process that runs many commands parses each
+# with the same tree
+_PARSER: Optional[argparse.ArgumentParser] = None
+# the exit status when the reader of stdout closes it early
+EXIT_BROKEN_PIPE = 128 + 13
+
+
 def run(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -250,10 +271,21 @@ def run(argv: Optional[List[str]] = None) -> int:
     except (ec.EvalError, tn.TensorError, cf.ClassifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the reader is gone (`curvkit ... | head`): point stdout at
+        # devnull, so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

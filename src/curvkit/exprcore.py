@@ -4,9 +4,9 @@ Expressions are immutable, hash-consed trees over named symbols with exact
 rational constants and rational exponents.  Construction always canonicalizes
 (sums and products flattened and sorted, like terms collected, trivial powers
 removed), so structural identity doubles as canonical-form equality.
-Canonicalizing is a pure function of interned inputs, so `mul` builds each
-product once per tuple of factors and keeps it in a memo that, like the
-intern table, lives as long as the process.
+Canonicalizing is a pure function of interned inputs, so `add` and `mul`
+build each sum and product once per tuple of operands and keep it in a
+memo that, like the intern table, lives as long as the process.
 
 `eval_float` evaluates an expression in float64 by one walk over the DAG,
 where a symbol may be bound to an array over points.  It computes each
@@ -165,7 +165,8 @@ _INTERN: Dict[tuple, Expr] = {}
 # a fixed interned node, so every differentiate call shares one memo)
 _CONSTS: Dict[object, Expr] = {}
 _DIFF_MEMO: Dict[str, Dict[Expr, Expr]] = {}
-# products by their coerced factors (see mul)
+# sums and products by their coerced terms and factors (see add and mul)
+_ADD_MEMO: Dict[Tuple[Expr, ...], Expr] = {}
 _MUL_MEMO: Dict[Tuple[Expr, ...], Expr] = {}
 
 
@@ -301,9 +302,19 @@ def _split_coeff(term: Expr) -> Tuple[Fraction, Optional[Expr]]:
 
 
 def add(*terms) -> Expr:
+    """The canonical sum, built once per tuple of terms: memoized like
+    mul, on the coerced terms."""
+    key = tuple(map(_coerce, terms))
+    got = _ADD_MEMO.get(key)
+    if got is None:
+        got = _ADD_MEMO[key] = _add(key)
+    return got
+
+
+def _add(terms: Tuple[Expr, ...]) -> Expr:
     # zero terms change nothing, and a canonical node is its own sum, so a
     # lone nonzero term is returned as it is instead of being rebuilt
-    terms = [t for t in map(_coerce, terms) if t is not ZERO]
+    terms = [t for t in terms if t is not ZERO]
     if len(terms) <= 1:
         return terms[0] if terms else ZERO
     flat = []

@@ -79,16 +79,21 @@ class MetricData:
         return self.g.dim
 
 
-def _det(m: np.ndarray) -> Expr:
-    n = m.shape[0]
-    if n == 1:
-        return m[0, 0]
+def _minor(rows: list, i: int, j: int) -> list:
+    """rows without row i and column j."""
+    return [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
+
+
+def _det(rows: list) -> Expr:
+    """Determinant of a square list of rows of Expr, by cofactor expansion
+    along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
     total = ec.ZERO
-    for j in range(n):
-        if m[0, j].is_zero():
+    for j, a in enumerate(rows[0]):
+        if a.is_zero():
             continue
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        term = ec.mul(m[0, j], _det(minor))
+        term = ec.mul(a, _det(_minor(rows, 0, j)))
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -100,19 +105,18 @@ def invert_metric(g: ComponentTensor) -> MetricData:
     if g.valence != 2:
         raise TensorError("metric must be a (0,2) tensor")
     n = g.dim
-    m = g.data
+    rows = g.data.tolist()
     for i in range(n):
         for j in range(n):
-            if m[i, j] is not m[j, i]:
+            if rows[i][j] is not rows[j][i]:
                 raise TensorError("metric must be symmetric")
-    det = _det(m)
+    det = _det(rows)
     if det.is_zero():
         raise TensorError("metric is symbolically singular")
     inv = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            minor = np.delete(np.delete(m, j, axis=0), i, axis=1)
-            cof = _det(minor)
+            cof = _det(_minor(rows, j, i))
             if (i + j) % 2 == 1:
                 cof = ec.neg(cof)
             inv[i, j] = ec.div(cof, det)

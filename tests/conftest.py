@@ -22,14 +22,19 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-def fresh_python(*args) -> subprocess.CompletedProcess:
+def fresh_env() -> dict:
+    """The environment of a new process that imports this checkout's
+    curvkit."""
+    src = str(Path(curvkit.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def fresh_python(*args, check=True) -> subprocess.CompletedProcess:
     """`python *args` in a new process that imports this checkout's
     curvkit: nothing is interned or imported from the test session."""
-    src = str(Path(curvkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, check=True)
+    return subprocess.run([sys.executable, *args], env=fresh_env(),
+                          capture_output=True, check=check)
 
 
 def classified(metric_id):

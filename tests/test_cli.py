@@ -1,14 +1,16 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import io
 import json
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import fresh_python
+from conftest import fresh_env, fresh_python
 from curvkit import cli
 from curvkit import curvature as cv
 from curvkit import tensor as tn
@@ -122,6 +124,68 @@ def test_malformed_header_exits_2(tmp_path, capsys, header, message):
 
 def test_help_exits_0(capsys):
     assert cli.run(["--help"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["classify", "components", "verify"])
+def test_a_second_metric_exits_2(command, no_build, capsys):
+    # only compare reads two metrics; the others must not drop one unsaid
+    assert cli.run([command, "--metric", "bardeen", "--metric",
+                    "minkowski"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {command} takes one --metric; got also 'minkowski'"]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the dump is about 330 kB, far past a pipe's buffer, so the writer
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curvkit.cli", "components", "--metric",
+         "schwarzschild", "--tensor", "nabla_C"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    assert proc.stdout.read(16) == b'{\n  "dimension":'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_run_returns_141_on_a_closed_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.run(["classify", "--metric", "minkowski"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_a_warm_process_answers_like_fresh_ones(monkeypatch, capsys):
+    # one process runs valid commands and usage errors (one found by the
+    # parser, one by the command) in turn on the parser it built once
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    calls = [["classify", "--metric", "minkowski"],
+             ["components", "--metric", "bardeen", "--tensor", "kappa"],
+             ["classify", "--metric", "minkowski", "--points", "2"],
+             ["components", "--metric", "bardeen", "--points", "24"],
+             ["components", "--metric", "bardeen", "--tensor", "kappa"],
+             ["classify", "--metric", "minkowski"]]
+    for argv in calls:
+        code = cli.run(argv)
+        out = capsys.readouterr().out
+        fresh = fresh_python("-m", "curvkit.cli", *argv, check=False)
+        assert (code, out) == (fresh.returncode, fresh.stdout.decode()), \
+            argv
+    assert [cli.run(argv) for argv in calls] == [0, 0, 2, 2, 0, 0]
+    assert built == [1]
     capsys.readouterr()
 
 

@@ -400,11 +400,14 @@ def test_zero_over_zero_raises():
 
 
 # ---------------------------------------------------------------------------
-# the product memo
+# the sum and product memos
+#
+# add and mul are each a lookup in front of a canonicalization (_add, _mul)
+# that runs on a miss; each check below runs once per constructor
 
-def test_product_memo_holds_the_canonical_products():
-    # mul is a lookup in front of _mul; after the builtins' and Kerr's
-    # bundles, every product it keeps is the node _mul builds anew
+def _memo_holds_the_canonical_nodes(memo, canonical_name):
+    # after the builtins' and Kerr's bundles, every node the memo keeps is
+    # the node the canonicalization builds anew
     from curvkit.catalog import BUILTIN_IDS, builtin, parse_metric_source
     from curvkit.curvature import build_bundle
     from curvkit.tensor import invert_metric
@@ -413,49 +416,85 @@ def test_product_memo_holds_the_canonical_products():
     assert len(specs) == 4
     for spec in specs + [parse_metric_source(KERR, "kerr")]:
         build_bundle(invert_metric(spec.g()), spec.coords)
-    entries = list(ec._MUL_MEMO.items())
+    entries = list(memo.items())
     assert len(entries) > 1000
-    moved = [key for key, node in entries if ec._mul(key) is not node]
+    canonical = getattr(ec, canonical_name)
+    moved = [key for key, node in entries if canonical(key) is not node]
     assert moved == []
 
 
-def test_second_bundle_builds_no_product(monkeypatch):
+def test_product_memo_holds_the_canonical_products():
+    _memo_holds_the_canonical_nodes(ec._MUL_MEMO, "_mul")
+
+
+def test_sum_memo_holds_the_canonical_sums():
+    _memo_holds_the_canonical_nodes(ec._ADD_MEMO, "_add")
+
+
+def _second_bundle_builds_nothing(build, canonical_name, monkeypatch):
     from curvkit.catalog import builtin
     from curvkit.curvature import build_bundle
     from curvkit.tensor import invert_metric
     spec = builtin("bardeen")
     first = build_bundle(invert_metric(spec.g()), spec.coords)
     built = []
-    uncached = ec._mul
-    monkeypatch.setattr(ec, "_mul", lambda key: built.append(key)
-                        or uncached(key))
+    canonical = getattr(ec, canonical_name)
+    monkeypatch.setattr(ec, canonical_name, lambda key: built.append(key)
+                        or canonical(key))
     second = build_bundle(invert_metric(spec.g()), spec.coords)
     assert built == []
     for name in ("R", "C", "nabla_R", "nabla_C", "nabla_S"):
         pairs = zip(first.tensor(name).data.flat,
                     second.tensor(name).data.flat)
         assert all(a is b for a, b in pairs), name
-    # the wrapper is the one mul calls on a miss
-    ec.mul(ec.sym("memo_probe"), ec.sym("x"))
+    # the wrapper is the one the constructor calls on a miss
+    build(ec.sym(f"memo_probe{canonical_name}"), ec.sym("x"))
     assert len(built) == 1
 
 
+def test_second_bundle_builds_no_product(monkeypatch):
+    _second_bundle_builds_nothing(ec.mul, "_mul", monkeypatch)
+
+
+def test_second_bundle_builds_no_sum(monkeypatch):
+    _second_bundle_builds_nothing(ec.add, "_add", monkeypatch)
+
+
+def _memo_keeps_floats_out(build, unit):
+    # 1.0 == 1 and 0.0 == 0 with the same hash: a key of raw operands
+    # would let a float reach the memo entry of the int
+    x = ec.sym("x")
+    assert build(unit, x) is x
+    with pytest.raises(TypeError, match="cannot use float"):
+        build(float(unit), x)
+    with pytest.raises(TypeError, match="cannot use float"):
+        build(x, float(unit))
+
+
 def test_product_memo_keeps_floats_out():
-    # 1.0 == 1 with the same hash: a key of raw factors would let a float
-    # reach the memo entry of the int
+    _memo_keeps_floats_out(ec.mul, 1)
+
+
+def test_sum_memo_keeps_floats_out():
+    _memo_keeps_floats_out(ec.add, 0)
+
+
+OTHER_OPERANDS = [0.5, "2", None, [1], np.float64(2.0), np.int64(2)]
+
+
+def _rejects_other_operands(build, operand):
     x = ec.sym("x")
-    assert ec.mul(1, x) is x
-    with pytest.raises(TypeError, match="cannot use float"):
-        ec.mul(1.0, x)
-    with pytest.raises(TypeError, match="cannot use float"):
-        ec.mul(x, 1.0)
+    with pytest.raises(TypeError, match="in a symbolic expression"):
+        build(x, operand)
+    with pytest.raises(TypeError, match="in a symbolic expression"):
+        build(operand)
 
 
-@pytest.mark.parametrize("factor", [0.5, "2", None, [1], np.float64(2.0),
-                                    np.int64(2)])
+@pytest.mark.parametrize("factor", OTHER_OPERANDS)
 def test_product_rejects_other_factors(factor):
-    x = ec.sym("x")
-    with pytest.raises(TypeError, match="in a symbolic expression"):
-        ec.mul(x, factor)
-    with pytest.raises(TypeError, match="in a symbolic expression"):
-        ec.mul(factor)
+    _rejects_other_operands(ec.mul, factor)
+
+
+@pytest.mark.parametrize("term", OTHER_OPERANDS)
+def test_sum_rejects_other_terms(term):
+    _rejects_other_operands(ec.add, term)

@@ -207,6 +207,37 @@ def test_invert_metric_rejects_asymmetric():
         invert_metric(ComponentTensor(g, 2, 2))
 
 
+def _delete_det(m):
+    """The cofactor expansion over numpy minors (np.delete): the reference
+    for invert_metric's expansion over lists of rows."""
+    if m.shape[0] == 1:
+        return m[0, 0]
+    total = ec.ZERO
+    for j in range(m.shape[0]):
+        if m[0, j].is_zero():
+            continue
+        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
+        term = ec.mul(m[0, j], _delete_det(minor))
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def test_invert_metric_builds_the_nodes_of_the_numpy_minors():
+    from curvkit.catalog import BUILTIN_IDS, builtin, parse_metric_source
+    from test_exact_solutions import KERR
+    specs = [builtin(i) for i in BUILTIN_IDS]
+    for spec in specs + [parse_metric_source(KERR, "kerr")]:
+        m = spec.g().data
+        md = invert_metric(spec.g())
+        det = _delete_det(m)
+        assert md.det is det, spec.id
+        for i, j in itertools.product(range(spec.dim), repeat=2):
+            cof = _delete_det(np.delete(np.delete(m, j, axis=0), i, axis=1))
+            if (i + j) % 2 == 1:
+                cof = ec.neg(cof)
+            assert md.g_inv[i, j] is ec.div(cof, det), (spec.id, i, j)
+
+
 # ---------------------------------------------------------------------------
 # container checks
 
