@@ -15,7 +15,11 @@ classification.  reports/generated_sha256.json extends both to the
 benchmark's generated corpus: for each shape of perfbench/gen.py drawn at
 seeds 1-3, the sha256 of its `classify` output and of its nabla_R, nabla_C
 and nabla_S dumps (rt_conformal's nabla_C is left out: that dump alone
-takes about 14 s).
+takes about 14 s).  reports/markdown_sha256.json holds the sha256 of the
+`--format markdown` output of every subcommand, keyed by its command line:
+the R and kappa dumps and the classification of each builtin, the
+published-table verification and the comparison, so that a change to how
+the CLI renders or writes shows if it moves any markdown byte.
 
 With --check nothing is written: every report is regenerated in memory and
 compared with the committed file byte for byte; the exit status is 1 and
@@ -47,6 +51,7 @@ JOBS = tuple((f"classify_{mid}.json", ["classify", "--metric", mid])
     ("compare_bardeen_rn.json",
      ["compare", "--metric", "bardeen", "--metric", "reissner_nordstrom"]),
 )
+MARKDOWN_TENSORS = ("R", "kappa")
 
 
 def run_cli(argv):
@@ -107,6 +112,16 @@ def generated_digests():
     return out
 
 
+def markdown_digests():
+    """sha256 of each markdown output, keyed by its command line without
+    `--format markdown`."""
+    runs = [["components", "--metric", mid, "--tensor", name]
+            for mid in BUILTINS for name in MARKDOWN_TENSORS]
+    runs += [argv for _, argv in JOBS]
+    return {" ".join(argv): digest(argv + ["--format", "markdown"])
+            for argv in runs}
+
+
 def reports():
     """(file name, exit code, text) of every report.  The CLI ends stdout
     with a newline that the JSON text, as `--out` writes it, lacks."""
@@ -115,7 +130,8 @@ def reports():
         yield fname, rc, text[:-1]
     for fname, digests in (("components_sha256.json", component_digests),
                            ("classify_sha256.json", classify_digests),
-                           ("generated_sha256.json", generated_digests)):
+                           ("generated_sha256.json", generated_digests),
+                           ("markdown_sha256.json", markdown_digests)):
         yield fname, 0, json.dumps(digests(), indent=2) + "\n"
 
 

@@ -89,3 +89,14 @@ def test_classify_output_matches_digest(metric_id):
                         "--seed", "7"]) == 0
     digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
     assert digest == committed("classify_sha256.json")[metric_id]["48/7"]
+
+
+@pytest.mark.parametrize("command", list(committed("markdown_sha256.json")))
+def test_markdown_output_matches_digest(command):
+    # every byte of each subcommand's markdown, as reproduce_reports.py
+    # digests it: the renderers and the one output path of cli.run
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(command.split() + ["--format", "markdown"]) == 0
+    digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+    assert digest == committed("markdown_sha256.json")[command]
