@@ -65,54 +65,38 @@ def _build(spec: catalog.MetricSpec, lam: float) -> cv.CurvatureBundle:
     return cv.build_bundle(md, spec.coords, lam)
 
 
-def _emit(text: str, out_path: Optional[str]):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+# each _cmd_* returns its JSON payload, and each _*_markdown renders one
+# as a list of lines; run writes either form
 
-
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _cmd_components(args) -> int:
+def _cmd_components(args) -> Dict:
     spec = _resolve_metric(_one_metric(args))
     # lazy: the dump builds only the layers of the tensor it prints
     bundle = cv.CurvatureBundle(tn.invert_metric(spec.g()), spec.coords,
                                 args.lam)
     name = args.tensor
     if name == "kappa":
-        payload = {"metric": spec.id, "tensor": "kappa",
-                   "expression": ec.to_string(bundle.kappa)}
-    else:
-        try:
-            t = bundle.tensor(name)
-        except KeyError as exc:
-            raise UsageError(str(exc).strip('"'))
-        comps = {}
-        memo = {}   # one printer memo for the dump: entries share subtrees
-        for idx in itertools.product(range(t.dim), repeat=t.valence):
-            e = t.data[idx]
-            if not e.is_zero():
-                comps["".join(str(i) for i in idx)] = ec.to_string(e, memo)
-        payload = {"metric": spec.id, "tensor": name,
-                   "dimension": t.dim, "valence": t.valence,
-                   "nonzero_components": comps}
-    if args.format == "markdown":
-        lines = [f"# {spec.id}: {name}", ""]
-        if "expression" in payload:
-            lines.append(f"    kappa = {payload['expression']}")
-        else:
-            for k, v in sorted(payload["nonzero_components"].items()):
-                lines.append(f"    [{k}] = {v}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_dump(payload), args.out)
-    return 0
+        return {"metric": spec.id, "tensor": "kappa",
+                "expression": ec.to_string(bundle.kappa)}
+    try:
+        t = bundle.tensor(name)
+    except KeyError as exc:
+        raise UsageError(str(exc).strip('"'))
+    comps = {}
+    memo = {}   # one printer memo for the dump: entries share subtrees
+    for idx in itertools.product(range(t.dim), repeat=t.valence):
+        e = t.data[idx]
+        if not e.is_zero():
+            comps["".join(str(i) for i in idx)] = ec.to_string(e, memo)
+    return {"metric": spec.id, "tensor": name, "dimension": t.dim,
+            "valence": t.valence, "nonzero_components": comps}
+
+
+def _components_markdown(data: Dict) -> List[str]:
+    lines = [f"# {data['metric']}: {data['tensor']}", ""]
+    if "expression" in data:
+        return lines + [f"    kappa = {data['expression']}"]
+    return lines + [f"    [{k}] = {v}" for k, v in
+                    sorted(data["nonzero_components"].items())]
 
 
 def _classify_all(selectors: List[str], args) -> List[cf.StructureReport]:
@@ -140,7 +124,12 @@ def _classify_all(selectors: List[str], args) -> List[cf.StructureReport]:
         for spec in specs]
 
 
-def _report_markdown(data: Dict) -> str:
+def _cmd_classify(args) -> Dict:
+    report, = _classify_all([_one_metric(args)], args)
+    return report.to_json()
+
+
+def _classify_markdown(data: Dict) -> List[str]:
     lines = [f"# Classification: {data['metric']}", "",
              f"seed {data['seed']}, tol {data['tol']}, "
              f"{len(data['points'])} points", "",
@@ -154,64 +143,51 @@ def _report_markdown(data: Dict) -> str:
     if data["discrepancies"]:
         lines += ["", "## Discrepancies", ""]
         lines += [f"- {d}" for d in data["discrepancies"]]
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _cmd_classify(args) -> int:
-    report, = _classify_all([_one_metric(args)], args)
-    data = report.to_json()
-    if args.format == "markdown":
-        _emit(_report_markdown(data), args.out)
-    else:
-        _emit(_json_dump(data), args.out)
-    return 0
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Dict:
     spec = _resolve_metric(_one_metric(args))
     if spec.id != "bardeen":
         raise UsageError("verify has published reference tables only for "
                          "--metric bardeen")
     bundle = _build(spec, args.lam)
-    res = cf.verify_component_tables(spec, bundle,
-                                     catalog.reference_component_checks(),
-                                     lam=args.lam, seed=args.seed)
-    if args.format == "markdown":
-        lines = [f"# Component verification: {spec.id}", "",
-                 f"{res['matched']}/{res['total']} published entries match "
-                 f"the engine", ""]
-        for chk in res["checks"]:
-            if chk["status"] == "mismatch":
-                fd = ("engine confirmed by finite differences"
-                      if chk.get("engine_confirmed_by_finite_differences")
-                      else "engine NOT confirmed by finite differences")
-                lines.append(f"- FLAG {chk['group']} {chk['kind']} "
-                             f"{chk['indices']}: {fd}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_dump(res), args.out)
-    return 0
+    return cf.verify_component_tables(spec, bundle,
+                                      catalog.reference_component_checks(),
+                                      lam=args.lam, seed=args.seed)
 
 
-def _cmd_compare(args) -> int:
+def _verify_markdown(data: Dict) -> List[str]:
+    lines = [f"# Component verification: {data['metric']}", "",
+             f"{data['matched']}/{data['total']} published entries match "
+             f"the engine", ""]
+    for chk in data["checks"]:
+        if chk["status"] == "mismatch":
+            fd = ("engine confirmed by finite differences"
+                  if chk.get("engine_confirmed_by_finite_differences")
+                  else "engine NOT confirmed by finite differences")
+            lines.append(f"- FLAG {chk['group']} {chk['kind']} "
+                         f"{chk['indices']}: {fd}")
+    return lines
+
+
+def _cmd_compare(args) -> Dict:
     if len(args.metric) != 2:
         raise UsageError("compare needs exactly two --metric selectors")
-    comp = cf.compare_metrics(*_classify_all(args.metric, args))
-    if args.format == "markdown":
-        lines = [f"# Comparison: {comp['metrics'][0]} vs "
-                 f"{comp['metrics'][1]}", "", "## Shared (holds)", ""]
-        lines += [f"- {n}" for n in comp["shared_holds"]]
-        lines += ["", "## Shared (fails)", ""]
-        lines += [f"- {n}" for n in comp["shared_fails"]]
-        lines += ["", "## Differing", ""]
-        for n in comp["differing"]:
-            row = comp["verdicts"][n]
-            lines.append(f"- {n}: " + ", ".join(
-                f"{m}={v}" for m, v in sorted(row.items())))
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_json_dump(comp), args.out)
-    return 0
+    return cf.compare_metrics(*_classify_all(args.metric, args))
+
+
+def _compare_markdown(data: Dict) -> List[str]:
+    lines = [f"# Comparison: {data['metrics'][0]} vs {data['metrics'][1]}",
+             "", "## Shared (holds)", ""]
+    lines += [f"- {n}" for n in data["shared_holds"]]
+    lines += ["", "## Shared (fails)", ""]
+    lines += [f"- {n}" for n in data["shared_fails"]]
+    lines += ["", "## Differing", ""]
+    for n in data["differing"]:
+        lines.append(f"- {n}: " + ", ".join(
+            f"{m}={v}" for m, v in sorted(data["verdicts"][n].items())))
+    return lines
 
 
 # the options each subcommand reads besides --metric, --format and --out
@@ -230,11 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="curvkit",
         description="curvature structure engine for closed-form metrics")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, options in (
-            ("components", _cmd_components, "lambda tensor"),
-            ("classify", _cmd_classify, _CLASSIFY),
-            ("verify", _cmd_verify, "lambda seed"),
-            ("compare", _cmd_compare, _CLASSIFY)):
+    for name, fn, markdown, options in (
+            ("components", _cmd_components, _components_markdown,
+             "lambda tensor"),
+            ("classify", _cmd_classify, _classify_markdown, _CLASSIFY),
+            ("verify", _cmd_verify, _verify_markdown, "lambda seed"),
+            ("compare", _cmd_compare, _compare_markdown, _CLASSIFY)):
         p = sub.add_parser(name)
         p.add_argument("--metric", action="append", required=True,
                        help="builtin id or path to a metric file "
@@ -244,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "markdown"),
                        default="json")
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, markdown=markdown)
     return parser
 
 
@@ -256,31 +233,46 @@ EXIT_BROKEN_PIPE = 128 + 13
 
 
 def run(argv: Optional[List[str]] = None) -> int:
+    """The exit status of one command.  The one output path: the command
+    returns its payload, and run renders it, writes it to stdout or --out
+    and flushes stdout."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
+        data = args.fn(args)
+        if args.format == "markdown":
+            text = "\n".join(args.markdown(data)) + "\n"
+        else:
+            text = json.dumps(data, indent=2, sort_keys=True)
+        if args.out is None:
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        code = 0
     except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
+        code = 2 if exc.code not in (0, None) else 0
     except (UsageError, catalog.CatalogError, ec.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (ec.EvalError, tn.TensorError, cf.ClassifyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except BrokenPipeError:
         return EXIT_BROKEN_PIPE
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 def main():
     code = run()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        code = EXIT_BROKEN_PIPE
     if code == EXIT_BROKEN_PIPE:
         # the reader is gone (`curvkit ... | head`): point stdout at
         # devnull, so that the flush at exit does not fail again

@@ -24,7 +24,22 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-FUNCTIONS = ("sin", "cos", "tan", "cot", "sqrt", "exp", "log", "abs")
+# the elementary functions, each named once: its float64 function, its
+# derivative in terms of the argument u, and the exact value at which
+# `call` folds a rational argument (None where it does not).  sqrt is not
+# a function node but the power 1/2
+_FUNCTIONS = {
+    "sin": (math.sin, lambda u: call("cos", u), {0: 0}.get),
+    "cos": (math.cos, lambda u: neg(call("sin", u)), {0: 1}.get),
+    "tan": (math.tan, lambda u: add(ONE, powr(call("tan", u), 2)),
+            {0: 0}.get),
+    "cot": (lambda u: math.cos(u) / math.sin(u),
+            lambda u: neg(add(ONE, powr(call("cot", u), 2))), {}.get),
+    "exp": (math.exp, lambda u: call("exp", u), {0: 1}.get),
+    "log": (math.log, lambda u: powr(u, -1), {1: 0}.get),
+    "abs": (abs, lambda u: mul(call("abs", u), powr(u, -1)), abs),
+}
+FUNCTIONS = tuple(_FUNCTIONS) + ("sqrt",)
 
 _KIND_RANK = {"const": 0, "sym": 1, "call": 2, "pow": 3, "mul": 4, "add": 5}
 
@@ -267,22 +282,14 @@ def powr(base: Expr, exp) -> Expr:
 
 def call(fname: str, arg) -> Expr:
     arg = _coerce(arg)
-    if fname not in FUNCTIONS:
-        raise ExprError(f"unknown function '{fname}'")
     if fname == "sqrt":
         return powr(arg, Fraction(1, 2))
+    if fname not in _FUNCTIONS:
+        raise ExprError(f"unknown function '{fname}'")
     if arg.kind == "const":
-        v = arg.value
-        if fname == "abs":
-            return const(abs(v))
-        if fname == "exp" and v == 0:
-            return ONE
-        if fname == "log" and v == 1:
-            return ZERO
-        if fname in ("sin", "tan") and v == 0:
-            return ZERO
-        if fname == "cos" and v == 0:
-            return ONE
+        folded = _FUNCTIONS[fname][2](arg.value)
+        if folded is not None:
+            return const(folded)
     if fname == "abs" and arg.kind == "call" and arg.fname == "abs":
         return arg
     return _intern("call", fname=fname, children=(arg,))
@@ -448,17 +455,6 @@ def differentiate(f: Expr, var) -> Expr:
     return _diff(f, name, memo)
 
 
-_DIFF_TABLE = {
-    "sin": lambda u: call("cos", u),
-    "cos": lambda u: neg(call("sin", u)),
-    "tan": lambda u: add(ONE, powr(call("tan", u), 2)),
-    "cot": lambda u: neg(add(ONE, powr(call("cot", u), 2))),
-    "exp": lambda u: call("exp", u),
-    "log": lambda u: powr(u, -1),
-    "abs": lambda u: mul(call("abs", u), powr(u, -1)),
-}
-
-
 def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
     if name not in f.free_symbols():
         return ZERO
@@ -484,7 +480,7 @@ def _diff(f: Expr, name: str, memo: Dict[Expr, Expr]) -> Expr:
         out = mul(const(p), powr(base, p - 1), _diff(base, name, memo))
     else:  # call
         u = f.children[0]
-        out = mul(_DIFF_TABLE[f.fname](u), _diff(u, name, memo))
+        out = mul(_FUNCTIONS[f.fname][1](u), _diff(u, name, memo))
     memo[f] = out
     return out
 
@@ -529,7 +525,7 @@ def _walk(f: Expr, values, memo: dict):
                     p.numerator / p.denominator)
     else:
         out = _each(_call, _walk(f.children[0], values, memo),
-                    _FLOAT_FUNCTIONS[f.fname])
+                    _FUNCTIONS[f.fname][0])
     memo[f] = out
     return out
 
@@ -560,12 +556,6 @@ def _call(u: float, fn) -> float:
         return math.nan
     except OverflowError:
         return math.inf             # only exp overflows
-
-
-_FLOAT_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                    "tan": math.tan,
-                    "cot": lambda u: math.cos(u) / math.sin(u),
-                    "log": math.log, "abs": abs}
 
 
 # ---------------------------------------------------------------------------
