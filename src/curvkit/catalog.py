@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -203,12 +204,11 @@ def parse_metric_source(text: str, metric_id: str = "custom") -> MetricSpec:
                 raise CatalogError(f"line {lineno}: missing '=' in "
                                    "component assignment")
             idx_text = lhs.strip()
-            try:
-                inner = idx_text[1:].replace("]", "").split("[")
-                i, j = int(inner[1]), int(inner[2])
-            except (ValueError, IndexError):
+            target = re.fullmatch(r"g\[([0-9]+)\]\[([0-9]+)\]", idx_text)
+            if target is None:
                 raise CatalogError(f"line {lineno}: bad component index "
                                    f"{idx_text!r}")
+            i, j = int(target[1]), int(target[2])
             if dim is None or coords is None:
                 raise CatalogError(f"line {lineno}: dim and coords must "
                                    "come before components")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -41,6 +42,8 @@ def _parse_params(items: Optional[List[str]]) -> Dict[str, float]:
         try:
             out[name] = float(val)
         except ValueError:
+            out[name] = math.nan
+        if not math.isfinite(out[name]):    # also inf, nan and 1e400
             raise UsageError(f"bad numeric value in --param '{item}'")
     return out
 
@@ -247,12 +250,19 @@ def run(argv: Optional[List[str]] = None) -> int:
         else:
             text = json.dumps(data, indent=2, sort_keys=True)
         if args.out is None:
+            # the newline is a write of its own: with unbuffered stdout
+            # (python -u) a reader that closes cuts the text's write short
+            # without an error, and only the next write meets the pipe
             sys.stdout.write(text)
             if not text.endswith("\n"):
                 sys.stdout.write("\n")
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write '{args.out}': "
+                                 f"{exc.strerror}") from None
         code = 0
     except SystemExit as exc:
         code = 2 if exc.code not in (0, None) else 0

@@ -225,13 +225,14 @@ def sym(name: str) -> Expr:
 
 
 def _nth_root_exact(k: int, n: int) -> Optional[int]:
+    """The integer r with r**n == k, or None: Newton's method in integers,
+    from above, stops at floor(k**(1/n)) for k of any size."""
     if k < 0:
         return None
-    r = round(k ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** n == k:
-            return cand
-    return None
+    r = 1 << -(-k.bit_length() // n)
+    while r ** n > k:
+        r = ((n - 1) * r + k // r ** (n - 1)) // n
+    return r if r ** n == k else None
 
 
 def _const_pow(base: Fraction, exp: Fraction) -> Optional[Fraction]:
@@ -505,7 +506,10 @@ def _walk(f: Expr, values, memo: dict):
         return got
     k = f.kind
     if k == "const":
-        out = f.value.numerator / f.value.denominator
+        try:
+            out = f.value.numerator / f.value.denominator
+        except OverflowError:       # beyond float64, like any overflow
+            out = math.inf if f.value > 0 else -math.inf
     elif k == "sym":
         try:
             out = values[f.name]
@@ -673,9 +677,9 @@ def _tokenize(text: str):
         if ch == ".":
             raise ParseError("decimal literals are not supported; "
                              "use exact rationals like 3/2", line, col)
-        if ch.isdigit():
+        if "0" <= ch <= "9":        # not isdigit: int() rejects "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("decimal literals are not supported; "

@@ -114,6 +114,37 @@ def test_bad_directive_and_bad_index():
         parse_metric_source("dim 2\ncoords t r\ng[0][5] = 1\n")
 
 
+@pytest.mark.parametrize("target", [
+    "g[0]]]][0]", "g[[0][0]", "g[0][0]]", "g[0][0][1]", "g[0]x[0]",
+    "g[ 0][0]", "g[+1][0]", "g[٣][0]", "g[0]"])
+def test_component_target_is_exactly_g_digits_digits(target):
+    # g[0]]]][0] once read as g[0][0], because the brackets were stripped
+    with pytest.raises(CatalogError) as exc:
+        parse_metric_source(GOOD.replace("g[0][0]", target))
+    assert str(exc.value) == f"line 6: bad component index {target!r}"
+
+
+def bardeen_with(line):
+    """GOOD with its g[0][0] line replaced."""
+    return GOOD.replace(GOOD.splitlines()[5], line)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("g[0][0] = -r^²", "line 6: unexpected character '²' (line 1, column 4)"),
+    ("g[0][0] = -2²*r", "line 6: unexpected character '²' (line 1, column 3)"),
+    ("g[0][0] = -(10^400)",
+     "metric 'custom' is singular or not finite at all probe points")])
+def test_unreadable_expression_text_is_a_catalog_error(line, message):
+    with pytest.raises(CatalogError) as exc:
+        parse_metric_source(bardeen_with(line))
+    assert str(exc.value) == message
+
+
+def test_root_of_a_constant_beyond_float64_loads():
+    spec = parse_metric_source(bardeen_with("g[0][0] = -(10^400)^(1/2)"))
+    assert spec.components[0, 0] is ec.const(-10 ** 200)
+
+
 def test_expression_errors_carry_line_numbers():
     text = "dim 2\ncoords t r\ng[0][0] = -1\ng[1][1] = 1 + * r\n"
     with pytest.raises(CatalogError) as exc:

@@ -101,6 +101,8 @@ def test_bad_metric_file_exits_2(tmp_path, capsys):
      "line 3: missing '=' in component assignment"),
     ("dim 4\ncoords t r theta phi\ng[0][x] = 1\n",
      "line 3: bad component index 'g[0][x]'"),
+    ("dim 4\ncoords t r theta phi\ng[0]]]][1] = 1\n",
+     "line 3: bad component index 'g[0]]]][1]'"),
     ("dim 4\ncoords t r theta\n",
      "line 2: expected 4 coordinate names, got 3"),
     ("dim 4\ncoords t r theta phi\nrange r 1.5 3\nrange r 5 6\n",
@@ -111,7 +113,8 @@ def test_bad_metric_file_exits_2(tmp_path, capsys):
          "range_undeclared", "dim_0", "duplicate_coordinate",
          "parameter_named_like_a_coordinate", "dim_not_an_integer",
          "range_without_3_fields", "component_without_equals",
-         "bad_component_index", "coordinate_count", "repeated_range",
+         "bad_component_index", "component_index_with_extra_brackets",
+         "coordinate_count", "repeated_range",
          "repeated_dim"])
 def test_malformed_header_exits_2(tmp_path, capsys, header, message):
     # each is one error line naming the line, not a traceback or a report
@@ -120,6 +123,33 @@ def test_malformed_header_exits_2(tmp_path, capsys, header, message):
                     "g[3][3] = r^2\n")
     assert cli.run(["classify", "--metric", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("g00, message", [
+    ("-r^²", "line 3: unexpected character '²' (line 1, column 4)"),
+    ("-2²", "line 3: unexpected character '²' (line 1, column 3)"),
+    ("-(10^400)", "metric 'unreadable' is singular or not finite at all "
+                  "probe points")], ids=["power", "literal", "overflow"])
+def test_unreadable_expression_text_exits_2(tmp_path, g00, message):
+    # a fresh process, so that a traceback would show on its stderr
+    path = tmp_path / "unreadable.metric"
+    path.write_text(f"dim 4\ncoords t r theta phi\ng[0][0] = {g00}\n"
+                    "g[1][1] = 1\ng[2][2] = r^2\ng[3][3] = r^2\n",
+                    encoding="utf-8")
+    proc = fresh_python("-m", "curvkit.cli", "classify", "--metric",
+                        str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("missing/x.json", "No such file or directory"), (".", "Is a directory")])
+def test_unwritable_out_exits_2(tmp_path, capsys, out, reason):
+    path = tmp_path / out
+    assert cli.run(["components", "--metric", "minkowski", "--tensor",
+                    "kappa", "--out", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write '{path}': {reason}\n")
 
 
 def test_help_exits_0(capsys):
@@ -388,6 +418,10 @@ def no_build(monkeypatch):
 @pytest.mark.parametrize("param, message", [
     ("X=3", "error: unknown parameters ['X']"),
     ("M=abc", "error: bad numeric value in --param 'M=abc'"),
+    ("M=nan", "error: bad numeric value in --param 'M=nan'"),
+    ("M=inf", "error: bad numeric value in --param 'M=inf'"),
+    ("e=-inf", "error: bad numeric value in --param 'e=-inf'"),
+    ("M=1e400", "error: bad numeric value in --param 'M=1e400'"),
 ])
 def test_parameter_errors_exit_before_the_build(no_build, capsys, param,
                                                 message):

@@ -1,6 +1,9 @@
 """Curvature pipeline against finite-difference and sympy oracles."""
 
+import importlib
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from curvkit.catalog import builtin, parse_metric_source
 from curvkit.curvature import (build_bundle, covariant_derivative,
                                derived_curvatures, partials)
 from curvkit.tensor import ComponentTensor, invert_metric
-from oracles import bardeen_lapse
+from oracles import bardeen_lapse, reissner_nordstrom_lapse
 
 N = 4
 
@@ -102,6 +105,47 @@ def test_riemann_and_ricci_match_sympy(bardeen, spherical_oracle):
         assert np.abs(got_S - want["S"]).max() <= 1e-9 * (
             1 + np.abs(want["S"]).max())
         assert abs(got_k - want["kappa"]) <= 1e-9 * (1 + abs(want["kappa"]))
+
+
+def dump_point(seed, cycle, tmp_path, monkeypatch):
+    """The point at which perfbench's symbolic_dump workload, run with
+    seed, checks its reissner_nordstrom S dump in that cycle: the cycles
+    are replayed from the run's generator."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "perfbench"))
+    gen = importlib.import_module("gen")
+    workloads = importlib.import_module("workloads")
+    drawn = []
+    sample_point = gen.sample_point
+    monkeypatch.setattr(gen, "sample_point", lambda m, rng: drawn.append(
+        sample_point(m, rng)) or drawn[-1])
+    wl = workloads.SymbolicDump(str(tmp_path))
+    os.makedirs(wl.metrics)
+    rng = random.Random(seed)
+    for c in range(cycle + 1):
+        drawn.clear()
+        wl.cycle(rng, c)
+    return drawn[workloads.DUMP_PAIRS.index(("reissner_nordstrom", "S"))]
+
+
+@pytest.mark.parametrize("seed, cycle, r", [
+    (21, 70, 1.8664634770812156), (23, 60, 1.8658594371756605)])
+def test_ricci_at_the_outer_horizon_matches_sympy(seed, cycle, r, tmp_path,
+                                                  monkeypatch,
+                                                  ingoing_oracle):
+    # r lies within 5e-4 of r+ = 1 + sqrt(3)/2, where g00 changes sign and
+    # the ingoing g stays regular.  The benchmark's finite-difference
+    # check of S fails there (S11 = 2.7e-6 where S11 = 0 exactly); the
+    # program's S agrees with sympy's
+    values = dump_point(seed, cycle, tmp_path, monkeypatch)
+    assert values["r"] == r
+    spec = builtin("reissner_nordstrom")
+    bundle = build_bundle(invert_metric(spec.g()), spec.coords)
+    assert bundle.S.data[1, 1] is ec.ZERO
+    want = ingoing_oracle.evaluator(("S",), reissner_nordstrom_lapse())(
+        values)["S"]
+    got = eval_obj(bundle.S.data, values)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,55 @@ def test_decimal_literals_rejected():
         p("0.5*x")
 
 
+@pytest.mark.parametrize("text, col", [("x^²", 3), ("2²", 2),
+                                       ("x + ٣", 5)])
+def test_non_ascii_digits_are_parse_errors(text, col):
+    # str.isdigit takes these, int() does not: a digit is ASCII 0-9 only
+    with pytest.raises(ec.ParseError) as exc:
+        p(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert "unexpected character" in str(exc.value)
+
+
+def test_root_of_a_constant_beyond_float64_folds():
+    assert p("(10^400)^(1/2)") is ec.const(10 ** 200)
+    assert p("(8*10^600)^(1/3)") is ec.const(2 * 10 ** 200)
+    assert p("(10^400 + 1)^(1/2)").kind == "pow"
+    for n in (2, 3, 5):
+        for k in range(200):
+            root = round(k ** (1 / n))
+            want = root if root ** n == k else None
+            assert ec._nth_root_exact(k, n) == want, (k, n)
+
+
+def test_constant_beyond_float64_evaluates_to_inf():
+    # like any overflow, and the load probe rejects it as not finite
+    assert ec.eval_float(p("-(10^400)"), {}, {}) == -math.inf
+    assert ec.eval_float(p("10^400"), {}, {}) == math.inf
+    assert ec.eval_float(p("1/10^400"), {}, {}) == 0.0
+    got = ec.eval_float(p("x - 10^400"), {"x": np.array([1.0, 2.0])}, {})
+    assert got.tolist() == [-math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("text, folded", [
+    ("sin(0)", "0"), ("cos(0)", "1"), ("tan(0)", "0"), ("exp(0)", "1"),
+    ("log(1)", "0"), ("abs(-3/2)", "3/2"), ("sqrt(9/4)", "3/2"),
+    ("cot(0)", None), ("sin(1)", None), ("log(2)", None)])
+def test_calls_fold_at_exact_values_only(text, folded):
+    e = p(text)
+    if folded is None:
+        assert e.kind == "call"
+    else:
+        assert e is p(folded)
+
+
+def test_every_function_parses_evaluates_and_differentiates():
+    for name in ec.FUNCTIONS:
+        e = p(f"{name}(x^2 + 1)")
+        assert math.isfinite(ec.eval_float(e, {"x": 0.5}, {}))
+        assert ec.differentiate(e, "x") is not ec.ZERO
+
+
 def test_rational_exponents_allowed_others_rejected():
     assert p("x^(3/2)") is not None
     assert p("x^2") is not None
